@@ -6,6 +6,11 @@ cargo fmt --check
 cargo build --release
 cargo test -q
 cargo clippy --all-targets -- -D warnings
+# Benchmark build gate: perfbench/ is a workspace of its own with path
+# dependencies on crates/*, so a public-API change that breaks it would
+# otherwise pass here and only fail at the next benchmark run. Builds it
+# and runs its error_rate self-test.
+cargo test --offline -q --manifest-path perfbench/Cargo.toml
 # Static verification: all passes, with the JSON report kept as a CI
 # artifact. The committed RULES.md must match the in-code catalogue, the
 # DFLOW mutation fixtures must fire, and the large static-vs-dynamic

@@ -58,7 +58,7 @@
 //! ```
 
 mod attribution;
-mod checkpoint;
+pub mod checkpoint;
 pub mod complexnum;
 pub mod dflow;
 mod grid;
@@ -67,6 +67,7 @@ pub mod otc;
 pub mod otn;
 pub mod primitive;
 pub mod resilience;
+pub mod runtime;
 mod word;
 
 pub use grid::Grid;

@@ -16,18 +16,18 @@
 //! and [`emulate`] (the §V simulation argument priced from op counts).
 
 pub mod cc;
-pub mod checkpoint;
 pub mod emulate;
 pub mod matmul;
 pub mod mst;
 pub mod sort;
 
-use crate::primitive::{self, Acc, ParallelPolicy, PrimitiveSpec};
-use crate::resilience::{self, FaultPlan, FaultReport, FaultState, FaultStats};
+use crate::checkpoint::Buffers;
+use crate::primitive::{self, Acc};
+use crate::runtime::{Kind, Runtime};
 use crate::word::Word;
-use orthotrees_obs::telemetry::Telemetry;
-use orthotrees_obs::{causal::ReachCell, Recorder};
-use orthotrees_vlsi::{log2_ceil, log2_floor, BitTime, Clock, CostKind, CostModel, ModelError};
+use orthotrees_obs::causal::ReachCell;
+use orthotrees_vlsi::{log2_ceil, log2_floor, BitTime, CostKind, CostModel, ModelError};
+use std::ops::{Deref, DerefMut};
 
 pub use super::otn::Axis;
 
@@ -37,7 +37,7 @@ pub struct Reg(usize);
 
 impl Reg {
     /// The plane's index in allocation order — the `reg` coordinate of
-    /// reach events and the key into [`Otc::reg_names`].
+    /// reach events and the key into [`Runtime::reg_names`].
     pub fn index(self) -> usize {
         self.0
     }
@@ -103,28 +103,34 @@ pub use super::otn::PhaseCost;
 /// value)` per selected cycle position (see [`Otc`]'s `stream_downward`).
 type StreamWrites = Vec<(usize, usize, (usize, usize, usize), Option<Word>)>;
 
-/// The orthogonal tree cycles network.
+/// The orthogonal tree cycles network. The clock, instruments, fault
+/// plan and parallel policy live in the shared [`Runtime`] the network
+/// dereferences to; the OTC's trees have one leaf per *cycle*, so a dark
+/// leaf is a whole cycle cut from one of its trees.
 #[derive(Clone, Debug)]
 pub struct Otc {
+    rt: Runtime,
     m: usize,
     cycle: usize,
-    model: CostModel,
-    pitch: u64,
-    clock: Clock,
     regs: Vec<Vec<Option<Word>>>,
-    reg_names: Vec<&'static str>,
     row_roots: Vec<Vec<Option<Word>>>,
     col_roots: Vec<Vec<Option<Word>>>,
-    /// Installed fault scenario; `None` keeps every primitive on the exact
-    /// fault-free path.
-    fault: Option<FaultState>,
-    /// Installed observability recorder; `None` keeps every primitive on
-    /// the exact unrecorded path (same contract as `fault`).
-    recorder: Option<Recorder>,
-    /// Installed streaming telemetry bus; same contract as `recorder`.
-    telemetry: Option<Telemetry>,
-    /// How the per-tree independent gather of each primitive executes.
-    parallel: ParallelPolicy,
+}
+
+impl Deref for Otc {
+    type Target = Runtime;
+
+    #[inline]
+    fn deref(&self) -> &Runtime {
+        &self.rt
+    }
+}
+
+impl DerefMut for Otc {
+    #[inline]
+    fn deref_mut(&mut self) -> &mut Runtime {
+        &mut self.rt
+    }
 }
 
 impl Otc {
@@ -162,33 +168,13 @@ impl Otc {
         let block = (2 * cycle as u64 - 1).max(u64::from(model.word_bits) + 1);
         let pitch = block + u64::from(depth) + 1;
         Ok(Otc {
+            rt: Runtime::new(Kind::Otc, model, pitch, [m, m]),
             m,
             cycle,
-            model,
-            pitch,
-            clock: Clock::new(),
             regs: Vec::new(),
-            reg_names: Vec::new(),
             row_roots: vec![vec![None; cycle]; m],
             col_roots: vec![vec![None; cycle]; m],
-            fault: None,
-            recorder: None,
-            telemetry: None,
-            parallel: ParallelPolicy::default(),
         })
-    }
-
-    /// Sets how the per-tree independent portions of each primitive
-    /// execute (see [`ParallelPolicy`]). Both policies are bit- and
-    /// clock-identical — asserted by property tests; `Threads` trades
-    /// scoped-thread overhead for wall-clock speedup on large networks.
-    pub fn set_parallel_policy(&mut self, policy: ParallelPolicy) {
-        self.parallel = policy;
-    }
-
-    /// The active parallel execution policy.
-    pub fn parallel_policy(&self) -> ParallelPolicy {
-        self.parallel
     }
 
     /// The OTC that sorts `n` numbers: [`Otc::dims_for`]`(n)` with
@@ -228,49 +214,18 @@ impl Otc {
         self.m * self.m * self.cycle
     }
 
-    /// The active cost model.
-    pub fn model(&self) -> &CostModel {
-        &self.model
-    }
-
-    /// The inter-cycle pitch used for wire pricing.
-    pub fn pitch(&self) -> u64 {
-        self.pitch
-    }
-
-    /// The simulated clock.
-    pub fn clock(&self) -> &Clock {
-        &self.clock
-    }
-
-    /// Resets clock and statistics.
-    pub fn reset_clock(&mut self) {
-        self.clock.reset();
-    }
-
     /// Runs `f`, returning its result and the elapsed simulated time.
     pub fn elapsed<R>(&mut self, f: impl FnOnce(&mut Self) -> R) -> (R, BitTime) {
-        let before = self.clock.now();
+        let before = self.clock().now();
         let r = f(self);
-        (r, self.clock.now() - before)
+        (r, self.clock().now() - before)
     }
 
     /// Allocates a register plane (one word per BP, initially `NULL`).
     pub fn alloc_reg(&mut self, name: &'static str) -> Reg {
         self.regs.push(vec![None; self.m * self.m * self.cycle]);
-        self.reg_names.push(name);
+        self.rt.reg_names.push(name);
         Reg(self.regs.len() - 1)
-    }
-
-    /// The allocated register-plane names, in [`Reg::index`] order — the
-    /// register-file shape static analyses resolve reach events against.
-    pub fn reg_names(&self) -> &[&'static str] {
-        &self.reg_names
-    }
-
-    /// Number of allocated register planes.
-    pub fn reg_count(&self) -> usize {
-        self.regs.len()
     }
 
     fn idx(&self, i: usize, j: usize, q: usize) -> usize {
@@ -292,7 +247,7 @@ impl Otc {
                 }
             }
         }
-        self.clock.stats_mut().inputs += (self.m * self.m * self.cycle) as u64;
+        self.clock_mut().stats_mut().inputs += (self.m * self.m * self.cycle) as u64;
     }
 
     /// Places `L` words at each row root's stream buffer (input ports;
@@ -307,7 +262,7 @@ impl Otc {
             assert_eq!(buf.len(), self.cycle, "buffer length must equal the cycle length");
             self.row_roots[t] = buf.iter().map(|&v| Some(v)).collect();
         }
-        self.clock.stats_mut().inputs += (self.m * self.cycle) as u64;
+        self.clock_mut().stats_mut().inputs += (self.m * self.cycle) as u64;
     }
 
     /// Reads the column roots' stream buffers (output ports).
@@ -330,196 +285,12 @@ impl Otc {
         }
     }
 
-    /// Cycle coordinates of leaf `leaf` of tree `tree` along `axis`.
-    fn coords(axis: Axis, tree: usize, leaf: usize) -> (usize, usize) {
-        match axis {
-            Axis::Rows => (tree, leaf),
-            Axis::Cols => (leaf, tree),
-        }
-    }
-
     /// The cost of one streamed tree operation: `L` pipelined words behind
     /// one tree traversal (§V.B: "a pipeline of length O(log² N) in which
     /// log N elements are transmitted at O(log N) intervals of time").
     pub fn stream_cost(&self, aggregate: bool) -> BitTime {
         let kind = if aggregate { CostKind::StreamAggregate } else { CostKind::StreamBroadcast };
-        self.model.primitive_cost(kind, self.m, self.pitch, self.cycle)
-    }
-
-    /// Advances the clock by `expected` while recording its causal
-    /// decomposition `parts` (see [`crate::attribution`]).
-    fn seg_charge(&mut self, expected: BitTime, parts: &[crate::attribution::Part]) {
-        crate::attribution::seg_charge(&mut self.clock, &mut self.recorder, expected, parts);
-        if let Some(tel) = &mut self.telemetry {
-            tel.count("otc.charges", 1);
-            tel.observe("otc.charge_tau", expected.get());
-            tel.tick(self.clock.now());
-        }
-    }
-
-    fn phase_cost(&self, cost: PhaseCost) -> BitTime {
-        match cost {
-            PhaseCost::Bit => self.model.bit_op(),
-            PhaseCost::Compare => self.model.compare(),
-            PhaseCost::Add => self.model.add(),
-            PhaseCost::Multiply => self.model.multiply(),
-            PhaseCost::Words(k) => self.model.compare() * k,
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Observability (see [`orthotrees_obs`]). An absent recorder keeps
-    // every primitive on the exact unrecorded path.
-    // ------------------------------------------------------------------
-
-    /// Installs a recorder that collects phase spans for all subsequent
-    /// primitives.
-    pub fn install_recorder(&mut self, recorder: Recorder) {
-        self.recorder = Some(recorder);
-    }
-
-    /// The installed recorder, if any.
-    pub fn recorder(&self) -> Option<&Recorder> {
-        self.recorder.as_ref()
-    }
-
-    /// Removes and returns the installed recorder (export after a run).
-    pub fn take_recorder(&mut self) -> Option<Recorder> {
-        self.recorder.take()
-    }
-
-    /// Installs a streaming [`Telemetry`] bus: every subsequent clock
-    /// charge is counted (`otc.charges`), its magnitude fed to the
-    /// `otc.charge_tau` quantile sketch, and periodic counter snapshots
-    /// are cut on the simulated clock. Metering changes no simulated bit,
-    /// time, or output (bit-identity, enforced by the telemetry suite).
-    pub fn install_telemetry(&mut self, telemetry: Telemetry) {
-        self.telemetry = Some(telemetry);
-    }
-
-    /// The installed telemetry bus, if any.
-    pub fn telemetry(&self) -> Option<&Telemetry> {
-        self.telemetry.as_ref()
-    }
-
-    /// Mutable access to the installed telemetry bus (algorithms fold
-    /// their own domain counters into the export through this).
-    pub fn telemetry_mut(&mut self) -> Option<&mut Telemetry> {
-        self.telemetry.as_mut()
-    }
-
-    /// Removes and returns the installed telemetry bus (export after a
-    /// run).
-    pub fn take_telemetry(&mut self) -> Option<Telemetry> {
-        self.telemetry.take()
-    }
-
-    /// Opens a named phase span at the current simulated time (no-op
-    /// without a recorder). Spans nest; close with [`Otc::end_phase`].
-    pub fn begin_phase(&mut self, name: impl Into<String>) {
-        if let Some(rec) = &mut self.recorder {
-            let now = self.clock.now();
-            rec.open(name, now);
-        }
-    }
-
-    /// Closes the most recently opened phase span (no-op without a
-    /// recorder).
-    pub fn end_phase(&mut self) {
-        if let Some(rec) = &mut self.recorder {
-            let now = self.clock.now();
-            rec.close(now);
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Fault injection, detection and graceful degradation (see
-    // [`crate::resilience`]). The OTC's trees have one leaf per *cycle*,
-    // so a dark leaf is a whole cycle cut from one of its trees.
-    // ------------------------------------------------------------------
-
-    /// Installs a deterministic fault scenario for all subsequent
-    /// primitives; returns the degradation verdicts for its dead IPs.
-    pub fn install_fault_plan(&mut self, plan: FaultPlan) -> &FaultReport {
-        self.fault = Some(FaultState::new(plan, self.m, self.m, self.m, self.m));
-        &self.fault.as_ref().expect("just installed").report
-    }
-
-    /// Whether a fault plan is installed.
-    pub fn has_fault_plan(&self) -> bool {
-        self.fault.is_some()
-    }
-
-    /// The degradation report of the installed plan, if any.
-    pub fn fault_report(&self) -> Option<&FaultReport> {
-        self.fault.as_ref().map(|f| &f.report)
-    }
-
-    /// Counters for the faults injected so far (all zero with no plan).
-    pub fn fault_stats(&self) -> FaultStats {
-        self.fault.as_ref().map(|f| f.stats).unwrap_or_default()
-    }
-
-    /// Whether cycle `leaf` of tree `tree` along `axis` is cut off.
-    fn is_dark(&self, axis: Axis, tree: usize, leaf: usize) -> bool {
-        self.fault.as_ref().is_some_and(|f| f.is_dark(axis, tree, leaf))
-    }
-
-    /// Whether the installed recorder asked for reach events. `false`
-    /// whenever no recorder is installed or tracing was not enabled, so
-    /// the plain profiling path stays free of reach bookkeeping.
-    fn reach_tracing(&self) -> bool {
-        self.recorder.as_ref().is_some_and(Recorder::reach_enabled)
-    }
-
-    fn begin_fault_round(&mut self) {
-        if let Some(f) = &mut self.fault {
-            f.next_round();
-        }
-    }
-
-    /// One stream-word transit at `(axis, tree, slot)` under the installed
-    /// plan (identity without one).
-    fn word_transit(
-        &mut self,
-        axis: Axis,
-        tree: usize,
-        slot: usize,
-        value: Option<Word>,
-    ) -> (Option<Word>, u32) {
-        let width = self.model.word_bits;
-        match &mut self.fault {
-            Some(f) => f.transit(resilience::site(axis, tree, slot), value, width),
-            None => (value, 0),
-        }
-    }
-
-    /// Charges the fault overhead of one streamed primitive on `axis`:
-    /// `attempts` retransmitted streams of `base` plus the sibling-reroute
-    /// penalty. `base` is the same registry-priced cost the primitive just
-    /// charged, so charge and overhead can never disagree.
-    fn charge_fault_overhead(&mut self, axis: Axis, attempts: u32, base: BitTime) {
-        let Some(f) = &self.fault else { return };
-        let span = f.reroute_span[match axis {
-            Axis::Rows => 0,
-            Axis::Cols => 1,
-        }];
-        let mut extra = base * u64::from(attempts);
-        if span > 0 {
-            extra += self.model.tree_leaf_to_leaf(2 * span, self.pitch);
-        }
-        if extra > BitTime::ZERO {
-            // Attributed as its own (nested) phase so a faulty run's
-            // slowdown is visible in the time-attribution table; causally
-            // it is pure waiting (retransmitted streams / detour latency).
-            self.begin_phase(primitive::spec_for("FAULT-OVERHEAD").name);
-            let parts = crate::attribution::wait_parts(extra);
-            self.seg_charge(extra, &parts);
-            self.end_phase();
-        }
-        if let Some(rec) = &mut self.recorder {
-            rec.count("fault.retry_rounds", u64::from(attempts));
-        }
+        self.model().primitive_cost(kind, self.m, self.pitch(), self.cycle)
     }
 
     // ------------------------------------------------------------------
@@ -529,33 +300,6 @@ impl Otc {
     // → fault round → per-stream-word transit → register/root-buffer
     // writes → one registry-derived charge.
     // ------------------------------------------------------------------
-
-    /// Charges `spec`'s registry cost kind once for the whole tree family
-    /// of `axis`: the clock charge, its causal segment decomposition, the
-    /// matching operation statistics (including the `L − 1` pipelined
-    /// circulate hops of a stream) and the fault-overhead base all derive
-    /// from the same [`CostKind`], so they can never disagree.
-    fn charge_primitive(&mut self, spec: &PrimitiveSpec, axis: Axis, attempts: u32) {
-        // Invariant: executors only charge registry primitives that declare
-        // a cost kind (the registry coverage tests pin this statically), so
-        // a `None` is a registry-definition bug, not a runtime state.
-        let kind = spec.cost.unwrap_or_else(|| panic!("{} declares no cost kind", spec.name));
-        let t = self.model.primitive_cost(kind, self.m, self.pitch, self.cycle);
-        let parts =
-            crate::attribution::primitive_parts(&self.model, kind, self.m, self.pitch, self.cycle);
-        self.seg_charge(t, &parts);
-        let stats = self.clock.stats_mut();
-        match kind {
-            CostKind::Broadcast | CostKind::StreamBroadcast => stats.broadcasts += 1,
-            CostKind::Send | CostKind::StreamSend => stats.sends += 1,
-            CostKind::Aggregate | CostKind::StreamAggregate => stats.aggregates += 1,
-            CostKind::CycleStep => stats.circulates += 1,
-        }
-        if kind.is_stream() {
-            stats.circulates += self.cycle as u64 - 1;
-        }
-        self.charge_fault_overhead(axis, attempts, t);
-    }
 
     /// The downward stream executor (`ROOTTOCYCLE`): gathers each tree's
     /// selected cycles' stream words, then transits and writes every word
@@ -576,11 +320,11 @@ impl Otc {
         self.begin_phase(spec.name);
         let writes: Vec<StreamWrites> = {
             let view = OtcRegsView { regs: &self.regs, m: self.m, cycle: self.cycle };
-            primitive::per_tree(self.parallel, self.m, |t| {
+            primitive::per_tree(self.parallel_policy(), self.m, |t| {
                 let mut w = Vec::new();
                 for l in 0..self.m {
-                    let (i, j) = Self::coords(axis, t, l);
-                    if sel(i, j, &view) && !self.is_dark(axis, t, l) {
+                    let (i, j) = axis.coords(t, l);
+                    if sel(i, j, &view) && !self.rt.is_dark(axis, t, l) {
                         for q in 0..self.cycle {
                             w.push((t, l * self.cycle + q, (i, j, q), self.roots(axis)[t][q]));
                         }
@@ -591,7 +335,7 @@ impl Otc {
         };
         self.begin_fault_round();
         let tracing = self.reach_tracing();
-        if let Some(rec) = self.recorder.as_mut().filter(|_| tracing) {
+        if let Some(rec) = self.rt.recorder.as_mut().filter(|_| tracing) {
             rec.reach_round_begin();
         }
         let mut attempts = 0;
@@ -604,7 +348,7 @@ impl Otc {
             // the whole cycle as one leaf cell), not per stream position.
             if q == 0 {
                 let leaf = (slot / self.cycle) as u64;
-                if let Some(rec) = self.recorder.as_mut().filter(|_| tracing) {
+                if let Some(rec) = self.rt.recorder.as_mut().filter(|_| tracing) {
                     rec.reach(
                         t as u64,
                         ReachCell::Root,
@@ -613,7 +357,7 @@ impl Otc {
                 }
             }
         }
-        self.charge_primitive(spec, axis, attempts);
+        self.rt.charge_primitive(spec, axis, self.cycle, attempts);
         self.end_phase();
     }
 
@@ -641,11 +385,11 @@ impl Otc {
             spec.name
         );
         self.begin_phase(spec.name);
-        let degraded = self.fault.is_some();
+        let degraded = self.has_fault_plan();
         let tracing = self.reach_tracing();
         let gathered: Vec<(Vec<Option<Word>>, Vec<usize>)> = {
             let view = OtcRegsView { regs: &self.regs, m: self.m, cycle: self.cycle };
-            primitive::per_tree(self.parallel, self.m, |t| {
+            primitive::per_tree(self.parallel_policy(), self.m, |t| {
                 // Contributor cycles (deduped across stream positions) are
                 // only collected under reach tracing; the Vec stays empty
                 // (no allocation) otherwise.
@@ -654,8 +398,8 @@ impl Otc {
                     .map(|q| {
                         let mut acc = Acc::new(monoid);
                         for l in 0..self.m {
-                            let (i, j) = Self::coords(axis, t, l);
-                            if sel(i, j, q, &view) && !self.is_dark(axis, t, l) {
+                            let (i, j) = axis.coords(t, l);
+                            if sel(i, j, q, &view) && !self.rt.is_dark(axis, t, l) {
                                 if tracing && !contributors.contains(&l) {
                                     contributors.push(l);
                                 }
@@ -679,7 +423,7 @@ impl Otc {
                 (buffer, contributors)
             })
         };
-        if let Some(rec) = self.recorder.as_mut().filter(|_| tracing) {
+        if let Some(rec) = self.rt.recorder.as_mut().filter(|_| tracing) {
             rec.reach_round_begin();
             for (t, (_, contributors)) in gathered.iter().enumerate() {
                 for &l in contributors {
@@ -695,7 +439,7 @@ impl Otc {
             gathered.into_iter().map(|(buffer, _)| buffer).collect();
         self.begin_fault_round();
         let mut attempts = 0;
-        if self.fault.is_some() {
+        if self.has_fault_plan() {
             // Root-bound slots sit above the per-cycle broadcast slot
             // range (`m * cycle`), keeping sites injective.
             let site_base = self.m * self.cycle;
@@ -708,28 +452,8 @@ impl Otc {
             }
         }
         *self.roots_mut(axis) = new_roots;
-        self.charge_primitive(spec, axis, attempts);
+        self.rt.charge_primitive(spec, axis, self.cycle, attempts);
         self.end_phase();
-    }
-
-    /// The composite executor: opens `name`'s enclosing registry span and
-    /// runs its two legs (each charges itself).
-    fn composite(&mut self, name: &str, f: impl FnOnce(&mut Self)) {
-        let spec = primitive::spec_for(name);
-        debug_assert!(spec.composite_of.is_some(), "{} is not a composite", spec.name);
-        self.begin_phase(spec.name);
-        f(self);
-        self.end_phase();
-    }
-
-    /// Charges a local compute phase of duration `t` under its registry
-    /// span name.
-    fn charge_compute(&mut self, name: &str, t: BitTime) {
-        let spec = primitive::spec_for(name);
-        self.begin_phase(spec.name);
-        self.seg_charge(t, &crate::attribution::compute_parts(t));
-        self.end_phase();
-        self.clock.stats_mut().leaf_ops += 1;
     }
 
     // ------------------------------------------------------------------
@@ -740,7 +464,7 @@ impl Otc {
     /// position (`R(q) := R((q+1) mod L)`).
     pub fn circulate(&mut self, regs: &[Reg]) {
         let tracing = self.reach_tracing();
-        if let Some(rec) = self.recorder.as_mut().filter(|_| tracing) {
+        if let Some(rec) = self.rt.recorder.as_mut().filter(|_| tracing) {
             rec.reach_round_begin();
         }
         for r in regs {
@@ -754,7 +478,7 @@ impl Otc {
             // cycle `(i, j)` as its own tree.
             if tracing {
                 let (m, cycle) = (self.m, self.cycle);
-                if let Some(rec) = self.recorder.as_mut() {
+                if let Some(rec) = self.rt.recorder.as_mut() {
                     for i in 0..m {
                         for j in 0..m {
                             for q in 0..cycle {
@@ -776,24 +500,26 @@ impl Otc {
         // Never a faultable tree traversal, so no fault-overhead charge.
         let spec = primitive::spec_for("VECTORCIRCULATE");
         self.begin_phase(spec.name);
-        let t = self.model.primitive_cost(CostKind::CycleStep, self.m, self.pitch, self.cycle);
+        let (model, pitch) = (*self.model(), self.pitch());
+        let t = model.primitive_cost(CostKind::CycleStep, self.m, pitch, self.cycle);
         let parts = crate::attribution::primitive_parts(
-            &self.model,
+            &model,
             CostKind::CycleStep,
             self.m,
-            self.pitch,
+            pitch,
             self.cycle,
         );
         self.seg_charge(t, &parts);
         self.end_phase();
-        self.clock.stats_mut().circulates += 1;
+        self.clock_mut().stats_mut().circulates += 1;
     }
 
     /// `ROOTTOCYCLE(Vector, Dest)`: each tree of `axis` streams its root
     /// buffer to the selected cycles; `dest[q] := buffer[q]`.
     ///
-    /// Under an installed [`FaultPlan`], every delivered stream word is an
-    /// independent transit and dark cycles receive nothing.
+    /// Under an installed [`FaultPlan`](crate::FaultPlan), every delivered
+    /// stream word is an independent transit and dark cycles receive
+    /// nothing.
     pub fn root_to_cycle(
         &mut self,
         axis: Axis,
@@ -809,10 +535,11 @@ impl Otc {
     /// taken from register B(q) of cycle (i,j) such that register A(q) in
     /// this cycle contains a 1").
     ///
-    /// Under an installed [`FaultPlan`], dark cycles cannot reach the
-    /// root, each ascending stream word is one parity-checked transit, and
-    /// per-position contention keeps the first selected cycle instead of
-    /// panicking (corrupted selectors legitimately collide).
+    /// Under an installed [`FaultPlan`](crate::FaultPlan), dark cycles
+    /// cannot reach the root, each ascending stream word is one
+    /// parity-checked transit, and per-position contention keeps the first
+    /// selected cycle instead of panicking (corrupted selectors
+    /// legitimately collide).
     ///
     /// # Panics
     ///
@@ -862,7 +589,7 @@ impl Otc {
         dest: Reg,
         dest_sel: impl Fn(usize, usize, &OtcRegsView<'_>) -> bool + Sync,
     ) {
-        self.composite("CYCLETOCYCLE", |n| {
+        Runtime::composite(self, "CYCLETOCYCLE", |n| {
             n.cycle_to_root(axis, src, src_sel);
             n.root_to_cycle(axis, dest, dest_sel);
         });
@@ -877,7 +604,7 @@ impl Otc {
         dest: Reg,
         dest_sel: impl Fn(usize, usize, &OtcRegsView<'_>) -> bool + Sync,
     ) {
-        self.composite("SUM-CYCLETOCYCLE", |n| {
+        Runtime::composite(self, "SUM-CYCLETOCYCLE", |n| {
             n.sum_cycle_to_root(axis, src, src_sel);
             n.root_to_cycle(axis, dest, dest_sel);
         });
@@ -892,7 +619,7 @@ impl Otc {
         dest: Reg,
         dest_sel: impl Fn(usize, usize, &OtcRegsView<'_>) -> bool + Sync,
     ) {
-        self.composite("MIN-CYCLETOCYCLE", |n| {
+        Runtime::composite(self, "MIN-CYCLETOCYCLE", |n| {
             n.min_cycle_to_root(axis, src, src_sel);
             n.root_to_cycle(axis, dest, dest_sel);
         });
@@ -948,6 +675,23 @@ impl Otc {
         }
         let t = self.phase_cost(cost);
         self.charge_compute("CYCLE-PHASE", t);
+    }
+}
+
+impl crate::checkpoint::sealed::Cells for Otc {
+    fn shape(&self) -> [usize; 2] {
+        [self.m, self.cycle]
+    }
+
+    fn save_cells(&self) -> (Buffers, [Buffers; 2]) {
+        (self.regs.clone(), [self.row_roots.clone(), self.col_roots.clone()])
+    }
+
+    fn load_cells(&mut self, planes: &[Vec<Option<Word>>], roots: &[Buffers; 2]) {
+        self.regs.truncate(planes.len());
+        self.regs.clone_from_slice(planes);
+        self.row_roots.clone_from(&roots[0]);
+        self.col_roots.clone_from(&roots[1]);
     }
 }
 

@@ -16,7 +16,6 @@
 //! procedures are.
 
 pub mod bitonic;
-pub mod checkpoint;
 pub mod dft;
 pub mod graph;
 pub mod matmul;
@@ -24,13 +23,15 @@ pub mod pipeline;
 pub mod prefix;
 pub mod sort;
 
+use crate::checkpoint::Buffers;
 use crate::grid::Grid;
-use crate::primitive::{self, Acc, ParallelPolicy, PrimitiveSpec};
-use crate::resilience::{self, FaultPlan, FaultReport, FaultState, FaultStats};
+use crate::primitive::{self, Acc};
+use crate::resilience;
+use crate::runtime::{Kind, Runtime};
 use crate::word::Word;
-use orthotrees_obs::telemetry::Telemetry;
-use orthotrees_obs::{causal::ReachCell, Recorder};
-use orthotrees_vlsi::{log2_ceil, BitTime, Clock, CostKind, CostModel, ModelError};
+use orthotrees_obs::causal::ReachCell;
+use orthotrees_vlsi::{log2_ceil, BitTime, CostModel, ModelError};
+use std::ops::{Deref, DerefMut};
 
 /// Handle to a named register plane allocated with [`Otn::alloc_reg`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -38,7 +39,7 @@ pub struct Reg(usize);
 
 impl Reg {
     /// The plane's index in allocation order — the `reg` coordinate of
-    /// reach events and the key into [`Otn::reg_names`].
+    /// reach events and the key into [`Runtime::reg_names`].
     pub fn index(self) -> usize {
         self.0
     }
@@ -66,6 +67,15 @@ impl Axis {
         match self {
             Axis::Rows => Axis::Cols,
             Axis::Cols => Axis::Rows,
+        }
+    }
+
+    /// Grid (OTN) or cycle (OTC) coordinates of leaf `leaf` of tree
+    /// `tree` of this family.
+    pub(crate) fn coords(self, tree: usize, leaf: usize) -> (usize, usize) {
+        match self {
+            Axis::Rows => (tree, leaf),
+            Axis::Cols => (leaf, tree),
         }
     }
 }
@@ -126,29 +136,33 @@ impl BpRegs<'_> {
 ///
 /// See the [module documentation](self) for the structure; see
 /// [`Otn::for_sorting`] / [`Otn::for_graphs`] / [`Otn::wide`] for the
-/// constructors the algorithms use.
+/// constructors the algorithms use. The clock, instruments, fault plan
+/// and parallel policy live in the shared [`Runtime`] the network
+/// dereferences to.
 #[derive(Clone, Debug)]
 pub struct Otn {
+    rt: Runtime,
     rows: usize,
     cols: usize,
-    model: CostModel,
-    pitch: u64,
-    clock: Clock,
     regs: Vec<Grid<Option<Word>>>,
-    reg_names: Vec<&'static str>,
     row_roots: Vec<Option<Word>>,
     col_roots: Vec<Option<Word>>,
-    /// Installed fault scenario; `None` keeps every primitive on the exact
-    /// fault-free path.
-    fault: Option<FaultState>,
-    /// Installed observability recorder; `None` (the default) keeps every
-    /// primitive free of recording code. Recording never changes a
-    /// simulated bit, time, or output.
-    recorder: Option<Recorder>,
-    /// Installed streaming telemetry bus; same contract as `recorder`.
-    telemetry: Option<Telemetry>,
-    /// How the per-tree independent gather of each primitive executes.
-    parallel: ParallelPolicy,
+}
+
+impl Deref for Otn {
+    type Target = Runtime;
+
+    #[inline]
+    fn deref(&self) -> &Runtime {
+        &self.rt
+    }
+}
+
+impl DerefMut for Otn {
+    #[inline]
+    fn deref_mut(&mut self) -> &mut Runtime {
+        &mut self.rt
+    }
 }
 
 impl Otn {
@@ -166,33 +180,13 @@ impl Otn {
         let depth = log2_ceil(rows.max(cols) as u64);
         let pitch = u64::from(model.word_bits) + u64::from(depth) + 1;
         Ok(Otn {
+            rt: Runtime::new(Kind::Otn, model, pitch, [rows, cols]),
             rows,
             cols,
-            model,
-            pitch,
-            clock: Clock::new(),
             regs: Vec::new(),
-            reg_names: Vec::new(),
             row_roots: vec![None; rows],
             col_roots: vec![None; cols],
-            fault: None,
-            recorder: None,
-            telemetry: None,
-            parallel: ParallelPolicy::default(),
         })
-    }
-
-    /// Sets how the per-tree independent portions of each primitive
-    /// execute (see [`ParallelPolicy`]). Both policies are bit- and
-    /// clock-identical — asserted by property tests; `Threads` trades
-    /// scoped-thread overhead for wall-clock speedup on large networks.
-    pub fn set_parallel_policy(&mut self, policy: ParallelPolicy) {
-        self.parallel = policy;
-    }
-
-    /// The active parallel execution policy.
-    pub fn parallel_policy(&self) -> ParallelPolicy {
-        self.parallel
     }
 
     /// A square `(n × n)`-OTN under Thompson's model with word width
@@ -237,66 +231,19 @@ impl Otn {
         self.cols
     }
 
-    /// The active cost model.
-    pub fn model(&self) -> &CostModel {
-        &self.model
-    }
-
-    /// The leaf pitch used for wire pricing.
-    pub fn pitch(&self) -> u64 {
-        self.pitch
-    }
-
-    /// The simulated clock.
-    pub fn clock(&self) -> &Clock {
-        &self.clock
-    }
-
-    /// Resets the clock and statistics (registers keep their contents).
-    pub fn reset_clock(&mut self) {
-        self.clock.reset();
-    }
-
     /// Runs `f` and returns its result together with the elapsed simulated
     /// time.
     pub fn elapsed<R>(&mut self, f: impl FnOnce(&mut Self) -> R) -> (R, BitTime) {
-        let before = self.clock.now();
+        let before = self.clock().now();
         let r = f(self);
-        (r, self.clock.now() - before)
+        (r, self.clock().now() - before)
     }
 
     /// Allocates a fresh register plane (initially all `NULL`).
     pub fn alloc_reg(&mut self, name: &'static str) -> Reg {
         self.regs.push(Grid::filled(self.rows, self.cols, None));
-        self.reg_names.push(name);
+        self.rt.reg_names.push(name);
         Reg(self.regs.len() - 1)
-    }
-
-    /// The allocated register-plane names, in [`Reg::index`] order — the
-    /// register-file shape static analyses resolve reach events against.
-    pub fn reg_names(&self) -> &[&'static str] {
-        &self.reg_names
-    }
-
-    /// Number of allocated register planes.
-    pub fn reg_count(&self) -> usize {
-        self.regs.len()
-    }
-
-    /// Number of leaves of one tree of `axis`.
-    pub fn leaves(&self, axis: Axis) -> usize {
-        match axis {
-            Axis::Rows => self.cols,
-            Axis::Cols => self.rows,
-        }
-    }
-
-    /// Number of trees of `axis`.
-    pub fn trees(&self, axis: Axis) -> usize {
-        match axis {
-            Axis::Rows => self.rows,
-            Axis::Cols => self.cols,
-        }
     }
 
     fn roots_mut(&mut self, axis: Axis) -> &mut Vec<Option<Word>> {
@@ -315,14 +262,6 @@ impl Otn {
         }
     }
 
-    /// Grid coordinates of leaf `leaf` of tree `tree` along `axis`.
-    fn coords(axis: Axis, tree: usize, leaf: usize) -> (usize, usize) {
-        match axis {
-            Axis::Rows => (tree, leaf),
-            Axis::Cols => (leaf, tree),
-        }
-    }
-
     // ------------------------------------------------------------------
     // I/O (free: the paper assumes operands "initially available at the
     // input ports" / "initially stored in the base"; the pipelined input
@@ -337,7 +276,7 @@ impl Otn {
     pub fn load_row_roots(&mut self, values: &[Word]) {
         assert_eq!(values.len(), self.rows, "one value per row root");
         self.row_roots = values.iter().map(|&v| Some(v)).collect();
-        self.clock.stats_mut().inputs += values.len() as u64;
+        self.clock_mut().stats_mut().inputs += values.len() as u64;
     }
 
     /// Reads the column roots (output ports).
@@ -353,7 +292,7 @@ impl Otn {
                 self.regs[r.0].set(i, j, f(i, j));
             }
         }
-        self.clock.stats_mut().inputs += (self.rows * self.cols) as u64;
+        self.clock_mut().stats_mut().inputs += (self.rows * self.cols) as u64;
     }
 
     /// Reads one register value (host-side inspection, free).
@@ -369,187 +308,6 @@ impl Otn {
         self.regs[r.0].set(row, col, v);
     }
 
-    /// Mutable clock access for primitive implementations in sibling
-    /// modules.
-    pub(crate) fn clock_mut(&mut self) -> &mut Clock {
-        &mut self.clock
-    }
-
-    /// Advances the clock by `expected` while recording its causal
-    /// decomposition `parts` (see [`crate::attribution`]).
-    pub(crate) fn seg_charge(&mut self, expected: BitTime, parts: &[crate::attribution::Part]) {
-        crate::attribution::seg_charge(&mut self.clock, &mut self.recorder, expected, parts);
-        if let Some(tel) = &mut self.telemetry {
-            tel.count("otn.charges", 1);
-            tel.observe("otn.charge_tau", expected.get());
-            tel.tick(self.clock.now());
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Observability (see [`orthotrees_obs`]). Every primitive wraps its
-    // clock advances in a span named after the paper's primitive, so the
-    // recorder's per-phase self times sum exactly to the elapsed time.
-    // ------------------------------------------------------------------
-
-    /// Installs an observability [`Recorder`]: subsequent primitives open
-    /// spans named after the paper's operations (`ROOTTOLEAF`,
-    /// `LEAFTOROOT`, …) on the simulated clock. Recording changes no
-    /// simulated bit, time, or output (bit-identity, enforced by tests).
-    pub fn install_recorder(&mut self, recorder: Recorder) {
-        self.recorder = Some(recorder);
-    }
-
-    /// The installed recorder, if any.
-    pub fn recorder(&self) -> Option<&Recorder> {
-        self.recorder.as_ref()
-    }
-
-    /// Removes and returns the installed recorder (export after a run).
-    pub fn take_recorder(&mut self) -> Option<Recorder> {
-        self.recorder.take()
-    }
-
-    /// Installs a streaming [`Telemetry`] bus: every subsequent clock
-    /// charge is counted (`otn.charges`), its magnitude fed to the
-    /// `otn.charge_tau` quantile sketch, and periodic counter snapshots
-    /// are cut on the simulated clock. Metering changes no simulated bit,
-    /// time, or output (bit-identity, enforced by the telemetry suite).
-    pub fn install_telemetry(&mut self, telemetry: Telemetry) {
-        self.telemetry = Some(telemetry);
-    }
-
-    /// The installed telemetry bus, if any.
-    pub fn telemetry(&self) -> Option<&Telemetry> {
-        self.telemetry.as_ref()
-    }
-
-    /// Mutable access to the installed telemetry bus (algorithms fold
-    /// their own domain counters into the export through this).
-    pub fn telemetry_mut(&mut self) -> Option<&mut Telemetry> {
-        self.telemetry.as_mut()
-    }
-
-    /// Removes and returns the installed telemetry bus (export after a
-    /// run).
-    pub fn take_telemetry(&mut self) -> Option<Telemetry> {
-        self.telemetry.take()
-    }
-
-    /// Opens a named phase span at the current simulated time (no-op
-    /// without a recorder). Spans nest; close with [`Otn::end_phase`].
-    /// Algorithms use this to group primitive spans under procedure-level
-    /// phases (e.g. `SORT-OTN`).
-    pub fn begin_phase(&mut self, name: impl Into<String>) {
-        if let Some(rec) = &mut self.recorder {
-            let now = self.clock.now();
-            rec.open(name, now);
-        }
-    }
-
-    /// Closes the most recently opened phase span (no-op without a
-    /// recorder).
-    pub fn end_phase(&mut self) {
-        if let Some(rec) = &mut self.recorder {
-            let now = self.clock.now();
-            rec.close(now);
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Fault injection, detection and graceful degradation (see
-    // [`crate::resilience`]). An installed *empty* plan changes nothing.
-    // ------------------------------------------------------------------
-
-    /// Installs a deterministic fault scenario for all subsequent
-    /// primitives and returns the degradation verdicts for its dead IPs:
-    /// which subtrees were rerouted through their sibling, and which leaves
-    /// went dark.
-    pub fn install_fault_plan(&mut self, plan: FaultPlan) -> &FaultReport {
-        self.fault = Some(FaultState::new(plan, self.rows, self.cols, self.cols, self.rows));
-        &self.fault.as_ref().expect("just installed").report
-    }
-
-    /// Whether a fault plan is installed.
-    pub fn has_fault_plan(&self) -> bool {
-        self.fault.is_some()
-    }
-
-    /// The degradation report of the installed plan, if any.
-    pub fn fault_report(&self) -> Option<&FaultReport> {
-        self.fault.as_ref().map(|f| &f.report)
-    }
-
-    /// Counters for the faults injected so far (all zero with no plan).
-    pub fn fault_stats(&self) -> FaultStats {
-        self.fault.as_ref().map(|f| f.stats).unwrap_or_default()
-    }
-
-    /// Whether `leaf` of `tree` along `axis` is cut off by a dead IP.
-    fn is_dark(&self, axis: Axis, tree: usize, leaf: usize) -> bool {
-        self.fault.as_ref().is_some_and(|f| f.is_dark(axis, tree, leaf))
-    }
-
-    /// Whether the installed recorder asked for reach events. `false`
-    /// whenever no recorder is installed or tracing was not enabled, so
-    /// the plain profiling path stays free of reach bookkeeping.
-    fn reach_tracing(&self) -> bool {
-        self.recorder.as_ref().is_some_and(Recorder::reach_enabled)
-    }
-
-    /// Opens a new transit round for the next faultable primitive.
-    fn begin_fault_round(&mut self) {
-        if let Some(f) = &mut self.fault {
-            f.next_round();
-        }
-    }
-
-    /// One word transit at `(axis, tree, leaf)` under the installed plan
-    /// (identity without one). Returns the delivered word and extra
-    /// attempts used.
-    fn word_transit(
-        &mut self,
-        axis: Axis,
-        tree: usize,
-        leaf: usize,
-        value: Option<Word>,
-    ) -> (Option<Word>, u32) {
-        let width = self.model.word_bits;
-        match &mut self.fault {
-            Some(f) => f.transit(resilience::site(axis, tree, leaf), value, width),
-            None => (value, 0),
-        }
-    }
-
-    /// Charges the time overhead a faultable primitive on `axis` incurred:
-    /// `attempts` retransmission rounds of `base`, plus the lateral
-    /// crossing penalty when the axis has rerouted subtrees.
-    fn charge_fault_overhead(&mut self, axis: Axis, attempts: u32, base: BitTime) {
-        let Some(f) = &self.fault else { return };
-        let span = f.reroute_span[match axis {
-            Axis::Rows => 0,
-            Axis::Cols => 1,
-        }];
-        let mut extra = base * u64::from(attempts);
-        if span > 0 {
-            // Detour through the sibling subtree: down from the common
-            // parent and across, like a leaf-to-leaf hop within the
-            // doubled subtree.
-            extra += self.model.tree_leaf_to_leaf(2 * span, self.pitch);
-        }
-        if extra > BitTime::ZERO {
-            // Attributed as its own (nested) phase so a faulty run's
-            // slowdown is visible in the time-attribution table; causally
-            // it is pure waiting (retransmission rounds / detour latency).
-            self.begin_phase(primitive::spec_for("FAULT-OVERHEAD").name);
-            self.seg_charge(extra, &crate::attribution::wait_parts(extra));
-            self.end_phase();
-        }
-        if let Some(rec) = &mut self.recorder {
-            rec.count("fault.retry_rounds", u64::from(attempts));
-        }
-    }
-
     // ------------------------------------------------------------------
     // The shared descriptor-driven executor (tentpole of the primitive
     // registry). Every §II.B primitive below is a thin call into these:
@@ -557,29 +315,6 @@ impl Otn {
     // → fault round → per-word transit → register/root writes → one
     // registry-derived charge.
     // ------------------------------------------------------------------
-
-    /// Charges `spec`'s registry cost kind once for the whole tree family
-    /// of `axis`: the clock charge, its causal segment decomposition, the
-    /// matching operation statistic and the fault-overhead base all derive
-    /// from the same [`CostKind`], so they can never disagree.
-    fn charge_primitive(&mut self, spec: &PrimitiveSpec, axis: Axis, attempts: u32) {
-        let leaves = self.leaves(axis);
-        // Invariant: executors only charge registry primitives that declare
-        // a cost kind (the registry coverage tests pin this statically), so
-        // a `None` is a registry-definition bug, not a runtime state.
-        let kind = spec.cost.unwrap_or_else(|| panic!("{} declares no cost kind", spec.name));
-        let t = self.model.primitive_cost(kind, leaves, self.pitch, 1);
-        let parts = crate::attribution::primitive_parts(&self.model, kind, leaves, self.pitch, 1);
-        self.seg_charge(t, &parts);
-        let stats = self.clock.stats_mut();
-        match kind {
-            CostKind::Broadcast | CostKind::StreamBroadcast => stats.broadcasts += 1,
-            CostKind::Send | CostKind::StreamSend => stats.sends += 1,
-            CostKind::Aggregate | CostKind::StreamAggregate => stats.aggregates += 1,
-            CostKind::CycleStep => stats.circulates += 1,
-        }
-        self.charge_fault_overhead(axis, attempts, t);
-    }
 
     /// The downward executor (`ROOTTOLEAF`): gathers every tree's selected
     /// leaves, then transits and writes each delivered word in tree order,
@@ -604,12 +339,12 @@ impl Otn {
         let (trees, leaves) = (self.trees(axis), self.leaves(axis));
         let writes: Vec<DownWrites> = {
             let view = RegsView { regs: &self.regs };
-            primitive::per_tree(self.parallel, trees, |t| {
+            primitive::per_tree(self.parallel_policy(), trees, |t| {
                 let value = self.roots(axis)[t];
                 (0..leaves)
                     .filter_map(|l| {
-                        let (i, j) = Self::coords(axis, t, l);
-                        (sel(i, j, &view) && !self.is_dark(axis, t, l))
+                        let (i, j) = axis.coords(t, l);
+                        (sel(i, j, &view) && !self.rt.is_dark(axis, t, l))
                             .then_some((t, l, i, j, value))
                     })
                     .collect()
@@ -617,7 +352,7 @@ impl Otn {
         };
         self.begin_fault_round();
         let tracing = self.reach_tracing();
-        if let Some(rec) = self.recorder.as_mut().filter(|_| tracing) {
+        if let Some(rec) = self.rt.recorder.as_mut().filter(|_| tracing) {
             rec.reach_round_begin();
         }
         let mut attempts = 0;
@@ -625,7 +360,7 @@ impl Otn {
             let (v, att) = self.word_transit(axis, t, l, v);
             attempts = attempts.max(att);
             self.regs[dest.0].set(i, j, v);
-            if let Some(rec) = self.recorder.as_mut().filter(|_| tracing) {
+            if let Some(rec) = self.rt.recorder.as_mut().filter(|_| tracing) {
                 rec.reach(
                     t as u64,
                     ReachCell::Root,
@@ -633,7 +368,7 @@ impl Otn {
                 );
             }
         }
-        self.charge_primitive(spec, axis, attempts);
+        self.charge_primitive(spec, axis, 1, attempts);
         self.end_phase();
     }
 
@@ -661,18 +396,18 @@ impl Otn {
         );
         self.begin_phase(spec.name);
         let (trees, leaves) = (self.trees(axis), self.leaves(axis));
-        let degraded = self.fault.is_some();
+        let degraded = self.has_fault_plan();
         let tracing = self.reach_tracing();
         let gathered: Vec<(Option<Word>, Vec<usize>)> = {
             let view = RegsView { regs: &self.regs };
-            primitive::per_tree(self.parallel, trees, |t| {
+            primitive::per_tree(self.parallel_policy(), trees, |t| {
                 let mut acc = Acc::new(monoid);
                 // Contributor leaves are only collected under reach
                 // tracing; the Vec stays empty (no allocation) otherwise.
                 let mut contributors = Vec::new();
                 for l in 0..leaves {
-                    let (i, j) = Self::coords(axis, t, l);
-                    if sel(i, j, &view) && !self.is_dark(axis, t, l) {
+                    let (i, j) = axis.coords(t, l);
+                    if sel(i, j, &view) && !self.rt.is_dark(axis, t, l) {
                         if tracing {
                             contributors.push(l);
                         }
@@ -693,7 +428,7 @@ impl Otn {
                 (acc.finish(), contributors)
             })
         };
-        if let Some(rec) = self.recorder.as_mut().filter(|_| tracing) {
+        if let Some(rec) = self.rt.recorder.as_mut().filter(|_| tracing) {
             rec.reach_round_begin();
             for (t, (_, contributors)) in gathered.iter().enumerate() {
                 for &l in contributors {
@@ -714,39 +449,8 @@ impl Otn {
             *root = v;
         }
         *self.roots_mut(axis) = new_roots;
-        self.charge_primitive(spec, axis, attempts);
+        self.charge_primitive(spec, axis, 1, attempts);
         self.end_phase();
-    }
-
-    /// The composite executor: opens `name`'s enclosing registry span and
-    /// runs its two legs (each charges itself).
-    fn composite(&mut self, name: &str, f: impl FnOnce(&mut Self)) {
-        let spec = primitive::spec_for(name);
-        debug_assert!(spec.composite_of.is_some(), "{} is not a composite", spec.name);
-        self.begin_phase(spec.name);
-        f(self);
-        self.end_phase();
-    }
-
-    /// The model price of a [`PhaseCost`] class.
-    fn phase_cost(&self, cost: PhaseCost) -> BitTime {
-        match cost {
-            PhaseCost::Bit => self.model.bit_op(),
-            PhaseCost::Compare => self.model.compare(),
-            PhaseCost::Add => self.model.add(),
-            PhaseCost::Multiply => self.model.multiply(),
-            PhaseCost::Words(k) => self.model.compare() * k,
-        }
-    }
-
-    /// Charges a local compute phase of duration `t` under its registry
-    /// span name.
-    fn charge_compute(&mut self, name: &str, t: BitTime) {
-        let spec = primitive::spec_for(name);
-        self.begin_phase(spec.name);
-        self.seg_charge(t, &crate::attribution::compute_parts(t));
-        self.end_phase();
-        self.clock.stats_mut().leaf_ops += 1;
     }
 
     // ------------------------------------------------------------------
@@ -759,9 +463,10 @@ impl Otn {
     ///
     /// The selector receives `(row, col, view)` grid coordinates.
     ///
-    /// Under an installed [`FaultPlan`], each leaf's delivered copy is an
-    /// independent transit (parity-checked, retried, possibly erased or
-    /// silently corrupted), and dark leaves receive nothing.
+    /// Under an installed [`FaultPlan`](crate::FaultPlan), each leaf's
+    /// delivered copy is an independent transit (parity-checked, retried,
+    /// possibly erased or silently corrupted), and dark leaves receive
+    /// nothing.
     pub fn root_to_leaf(
         &mut self,
         axis: Axis,
@@ -775,10 +480,10 @@ impl Otn {
     /// BP's `src` register travels to the root. Selecting no BP leaves the
     /// root `NULL`.
     ///
-    /// Under an installed [`FaultPlan`], dark leaves cannot reach their
-    /// root, the ascending word is one parity-checked transit per tree,
-    /// and selector contention keeps the first selected BP instead of
-    /// panicking (corrupted ranks legitimately collide).
+    /// Under an installed [`FaultPlan`](crate::FaultPlan), dark leaves
+    /// cannot reach their root, the ascending word is one parity-checked
+    /// transit per tree, and selector contention keeps the first selected
+    /// BP instead of panicking (corrupted ranks legitimately collide).
     ///
     /// # Panics
     ///
@@ -796,7 +501,8 @@ impl Otn {
 
     /// `COUNT-LEAFTOROOT(Vector)`: each root receives the number of leaves
     /// whose `flag` register is a non-zero word (§II.B primitive 3).
-    /// Dark leaves contribute nothing under an installed [`FaultPlan`].
+    /// Dark leaves contribute nothing under an installed
+    /// [`FaultPlan`](crate::FaultPlan).
     pub fn count_to_root(&mut self, axis: Axis, flag: Reg) {
         let sel = move |i: usize, j: usize, view: &RegsView<'_>| matches!(view.get(flag, i, j), Some(v) if v != 0);
         self.tree_upward("COUNT-LEAFTOROOT", axis, flag, &sel);
@@ -854,7 +560,7 @@ impl Otn {
         dest: Reg,
         dest_sel: impl Fn(usize, usize, &RegsView<'_>) -> bool + Sync,
     ) {
-        self.composite("LEAFTOLEAF", |net| {
+        Runtime::composite(self, "LEAFTOLEAF", |net| {
             net.leaf_to_root(axis, src, src_sel);
             net.root_to_leaf(axis, dest, dest_sel);
         });
@@ -868,7 +574,7 @@ impl Otn {
         dest: Reg,
         dest_sel: impl Fn(usize, usize, &RegsView<'_>) -> bool + Sync,
     ) {
-        self.composite("COUNT-LEAFTOLEAF", |net| {
+        Runtime::composite(self, "COUNT-LEAFTOLEAF", |net| {
             net.count_to_root(axis, flag);
             net.root_to_leaf(axis, dest, dest_sel);
         });
@@ -883,7 +589,7 @@ impl Otn {
         dest: Reg,
         dest_sel: impl Fn(usize, usize, &RegsView<'_>) -> bool + Sync,
     ) {
-        self.composite("SUM-LEAFTOLEAF", |net| {
+        Runtime::composite(self, "SUM-LEAFTOLEAF", |net| {
             net.sum_to_root(axis, src, src_sel);
             net.root_to_leaf(axis, dest, dest_sel);
         });
@@ -898,7 +604,7 @@ impl Otn {
         dest: Reg,
         dest_sel: impl Fn(usize, usize, &RegsView<'_>) -> bool + Sync,
     ) {
-        self.composite("MIN-LEAFTOLEAF", |net| {
+        Runtime::composite(self, "MIN-LEAFTOLEAF", |net| {
             net.min_to_root(axis, src, src_sel);
             net.root_to_leaf(axis, dest, dest_sel);
         });
@@ -913,7 +619,7 @@ impl Otn {
         dest: Reg,
         dest_sel: impl Fn(usize, usize, &RegsView<'_>) -> bool + Sync,
     ) {
-        self.composite("MAX-LEAFTOLEAF", |net| {
+        Runtime::composite(self, "MAX-LEAFTOLEAF", |net| {
             net.max_to_root(axis, src, src_sel);
             net.root_to_leaf(axis, dest, dest_sel);
         });
@@ -964,8 +670,8 @@ impl Otn {
         // Pairs (l, l+dist) all route through the root of their common
         // 2·dist-leaf subtree; the dist words of each subtree pipeline
         // through that root one word-interval apart.
-        self.model.tree_leaf_to_leaf(2 * dist, self.pitch)
-            + self.model.pipeline_interval() * (dist as u64 - 1)
+        self.model().tree_leaf_to_leaf(2 * dist, self.pitch())
+            + self.model().pipeline_interval() * (dist as u64 - 1)
     }
 
     /// `COMPEX`-style pairwise combination (paper §IV): within every tree
@@ -999,8 +705,8 @@ impl Otn {
                 if l % (2 * dist) >= dist {
                     continue;
                 }
-                let (ai, aj) = Self::coords(axis, t, l);
-                let (bi, bj) = Self::coords(axis, t, l + dist);
+                let (ai, aj) = axis.coords(t, l);
+                let (bi, bj) = axis.coords(t, l + dist);
                 let a = *self.regs[reg.0].get(ai, aj);
                 let b = *self.regs[reg.0].get(bi, bj);
                 let (na, nb) = f(t, l, a, b);
@@ -1012,19 +718,42 @@ impl Otn {
         let cost = self.pairwise_cost(axis, dist) + extra_t;
         // Causally: up and down the 2·dist-leaf subtree, the pipelined
         // spacing of the dist contending words, then the local combine.
-        let mut parts = crate::attribution::upward_parts(&self.model, 2 * dist, self.pitch);
-        parts.extend(crate::attribution::downward_parts(&self.model, 2 * dist, self.pitch));
+        let mut parts = crate::attribution::upward_parts(self.model(), 2 * dist, self.pitch());
+        parts.extend(crate::attribution::downward_parts(self.model(), 2 * dist, self.pitch()));
         parts.extend(crate::attribution::wait_parts(
-            self.model.pipeline_interval() * (dist as u64 - 1),
+            self.model().pipeline_interval() * (dist as u64 - 1),
         ));
         parts.extend(crate::attribution::compute_parts(extra_t));
         self.begin_phase(primitive::spec_for("PAIRWISE").name);
         self.seg_charge(cost, &parts);
         self.end_phase();
-        let stats = self.clock.stats_mut();
+        let stats = self.clock_mut().stats_mut();
         stats.sends += 1;
         stats.broadcasts += 1;
         stats.leaf_ops += 1;
+    }
+}
+
+impl crate::checkpoint::sealed::Cells for Otn {
+    fn shape(&self) -> [usize; 2] {
+        [self.rows, self.cols]
+    }
+
+    fn save_cells(&self) -> (Buffers, [Buffers; 2]) {
+        let ports = |roots: &[Option<Word>]| roots.iter().map(|&w| vec![w]).collect();
+        (
+            self.regs.iter().map(|g| g.as_slice().to_vec()).collect(),
+            [ports(&self.row_roots), ports(&self.col_roots)],
+        )
+    }
+
+    fn load_cells(&mut self, planes: &[Vec<Option<Word>>], roots: &[Buffers; 2]) {
+        self.regs.truncate(planes.len());
+        for (grid, plane) in self.regs.iter_mut().zip(planes) {
+            grid.as_mut_slice().clone_from_slice(plane);
+        }
+        self.row_roots = roots[0].iter().map(|port| port[0]).collect();
+        self.col_roots = roots[1].iter().map(|port| port[0]).collect();
     }
 }
 

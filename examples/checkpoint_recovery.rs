@@ -7,6 +7,7 @@
 //!
 //! Run with: `cargo run -p orthotrees-bench --example checkpoint_recovery`
 
+use orthotrees::checkpoint::{Checkpoint, WordSnapshot};
 use orthotrees::obs::chrome::chrome_trace_with_flows;
 use orthotrees::otn::{self, Otn};
 use orthotrees::FaultPlan;
@@ -31,7 +32,7 @@ fn main() {
         text.len(),
         net.clock().now()
     );
-    let snap = otn::checkpoint::OtnSnapshot::parse(&text).expect("own render must parse");
+    let snap = WordSnapshot::parse(&text).expect("own render must parse");
     let mut replica = Otn::for_sorting(16).expect("power-of-two sort size");
     let _ = otn::sort::sort(&mut replica, &(0..16).collect::<Vec<i64>>()).unwrap();
     replica.restore(&snap).expect("matching shape restores");

@@ -14,9 +14,10 @@
 //!    outages and word faults completes under the recovery supervisor,
 //!    matching the recoverable baseline, within a bounded attempt budget.
 
+use orthotrees::checkpoint::{Checkpoint, WordSnapshot};
 use orthotrees::obs::json::Json;
 use orthotrees::otc::{self, Otc};
-use orthotrees::otn::{self, checkpoint::OtnSnapshot, Otn};
+use orthotrees::otn::{self, Otn};
 use orthotrees::{BitTime, FaultPlan, SimError};
 use orthotrees_sim::{
     supervise_engine, supervise_steps, Bit, Engine, NodeBehavior, NodeId, Outbox, PortId,
@@ -269,7 +270,7 @@ proptest! {
                 b.install_fault_plan(p);
             }
             let _ = otn::sort::sort(&mut b, &problem(n, salt + 7)).unwrap();
-            let snap = OtnSnapshot::parse(&text).unwrap();
+            let snap = WordSnapshot::parse(&text).unwrap();
             b.restore(&snap).unwrap();
             let out_b = otn::sort::sort(&mut b, &problem(n, salt + 1)).unwrap();
 
@@ -305,7 +306,7 @@ proptest! {
                 b.install_fault_plan(p);
             }
             let _ = otc::sort::sort(&mut b, &problem(n, salt + 7)).unwrap();
-            let snap = otc::checkpoint::OtcSnapshot::parse(&text).unwrap();
+            let snap = WordSnapshot::parse(&text).unwrap();
             b.restore(&snap).unwrap();
             let out_b = otc::sort::sort(&mut b, &problem(n, salt + 1)).unwrap();
 
@@ -315,6 +316,94 @@ proptest! {
             prop_assert_eq!(a.checkpoint_text(), b.checkpoint_text());
         }
     }
+}
+
+/// The committed `/v1` word-level fixtures: each network sorted one
+/// problem under this plan and was checkpointed right after, so the
+/// `fault` object is non-null.
+fn fixture_plan() -> FaultPlan {
+    FaultPlan::new(7).with_word_fault_rate(0.05)
+}
+
+fn word_fixture(name: &str) -> String {
+    let path =
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/fixtures").join(name);
+    std::fs::read_to_string(path).expect("word-level snapshot fixtures are committed")
+}
+
+/// SORT-OTN at n = 8 on `xs` under the fixture plan.
+fn otn_fixture_net(xs: &[i64]) -> Otn {
+    let mut net = Otn::for_sorting(8).unwrap();
+    net.install_fault_plan(fixture_plan());
+    let _ = otn::sort::sort(&mut net, xs).unwrap();
+    net
+}
+
+/// SORT-OTC at n = 16 on `xs` under the fixture plan.
+fn otc_fixture_net(xs: &[i64]) -> Otc {
+    let mut net = Otc::for_sorting(16).unwrap();
+    net.install_fault_plan(fixture_plan());
+    let _ = otc::sort::sort(&mut net, xs).unwrap();
+    net
+}
+
+const OTN_FIXTURE_INPUT: [i64; 8] = [5, 3, 7, 1, 6, 2, 8, 4];
+
+fn otc_fixture_input() -> Vec<i64> {
+    (0..16).rev().collect()
+}
+
+/// The committed `orthotrees-otn-snapshot/v1` bytes are exactly what
+/// today's OTN writes for the same run: any drift in the format fails
+/// here first.
+#[test]
+fn committed_otn_fixture_is_byte_identical_to_a_fresh_render() {
+    let fresh = otn_fixture_net(&OTN_FIXTURE_INPUT).checkpoint_text() + "\n";
+    assert_eq!(word_fixture("otn_snapshot_v1.json"), fresh, "OTN snapshot format drifted");
+}
+
+/// The OTC twin: `orthotrees-otc-snapshot/v1`, root stream buffers
+/// included.
+#[test]
+fn committed_otc_fixture_is_byte_identical_to_a_fresh_render() {
+    let fresh = otc_fixture_net(&otc_fixture_input()).checkpoint_text() + "\n";
+    assert_eq!(word_fixture("otc_snapshot_v1.json"), fresh, "OTC snapshot format drifted");
+}
+
+/// Each committed fixture restores into a fresh network (register layout
+/// allocated by a different problem), re-renders to the same bytes, and
+/// resumes exactly like the network that wrote it.
+#[test]
+fn committed_word_fixtures_restore_into_fresh_networks() {
+    let committed = word_fixture("otn_snapshot_v1.json");
+    let snap = WordSnapshot::parse(&committed).expect("committed OTN fixture parses");
+    let mut original = otn_fixture_net(&OTN_FIXTURE_INPUT);
+    let mut fresh = otn_fixture_net(&[1, 2, 3, 4, 5, 6, 7, 8]);
+    fresh.restore(&snap).expect("OTN fixture restores");
+    assert_eq!(fresh.checkpoint_text() + "\n", committed);
+    assert_eq!(fresh.fault_stats(), original.fault_stats());
+    let next = problem(8, 3);
+    let (a, b) = (
+        otn::sort::sort(&mut original, &next).unwrap(),
+        otn::sort::sort(&mut fresh, &next).unwrap(),
+    );
+    assert_eq!((a.sorted, a.missing, a.time), (b.sorted, b.missing, b.time));
+    assert_eq!(original.checkpoint_text(), fresh.checkpoint_text());
+
+    let committed = word_fixture("otc_snapshot_v1.json");
+    let snap = WordSnapshot::parse(&committed).expect("committed OTC fixture parses");
+    let mut original = otc_fixture_net(&otc_fixture_input());
+    let mut fresh = otc_fixture_net(&(0..16).collect::<Vec<_>>());
+    fresh.restore(&snap).expect("OTC fixture restores");
+    assert_eq!(fresh.checkpoint_text() + "\n", committed);
+    assert_eq!(fresh.fault_stats(), original.fault_stats());
+    let next = problem(16, 3);
+    let (a, b) = (
+        otc::sort::sort(&mut original, &next).unwrap(),
+        otc::sort::sort(&mut fresh, &next).unwrap(),
+    );
+    assert_eq!((a.sorted, a.time), (b.sorted, b.time));
+    assert_eq!(original.checkpoint_text(), fresh.checkpoint_text());
 }
 
 // ---------------------------------------------------------------------
@@ -387,7 +476,7 @@ fn supervised_multi_problem_soak_matches_recoverable_baseline() {
         problems.len(),
         &policy,
         Otn::snapshot,
-        |net, snap: &OtnSnapshot| net.restore(snap),
+        |net, snap: &WordSnapshot| net.restore(snap),
         |net| net.clock().now(),
         |net, index, attempt| {
             if attempt > 0 {
