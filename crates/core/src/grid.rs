@@ -1,4 +1,5 @@
-//! A dense row-major 2-D grid, the storage behind every register plane.
+//! A dense row-major 2-D grid: the adjacency, weight and result matrices
+//! the graph and matrix algorithms take and return.
 
 use std::fmt;
 
@@ -82,17 +83,6 @@ impl<T> Grid<T> {
     pub fn iter(&self) -> impl Iterator<Item = (usize, usize, &T)> {
         let cols = self.cols;
         self.data.iter().enumerate().map(move |(k, v)| (k / cols, k % cols, v))
-    }
-
-    /// The backing storage as one flat row-major slice.
-    pub fn as_slice(&self) -> &[T] {
-        &self.data
-    }
-
-    /// Mutable flat row-major access (bulk operations such as checkpoint
-    /// restore).
-    pub fn as_mut_slice(&mut self) -> &mut [T] {
-        &mut self.data
     }
 
     /// One row as a slice.

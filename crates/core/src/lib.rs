@@ -65,6 +65,7 @@ mod grid;
 pub mod mot3d;
 pub mod otc;
 pub mod otn;
+mod plane;
 pub mod primitive;
 pub mod resilience;
 pub mod runtime;

@@ -22,6 +22,7 @@ pub mod mst;
 pub mod sort;
 
 use crate::checkpoint::Buffers;
+use crate::plane::{self, Plane};
 use crate::primitive::{self, Acc};
 use crate::runtime::{Kind, Runtime};
 use crate::word::Word;
@@ -45,21 +46,38 @@ impl Reg {
 
 /// Read-only view of all register planes for selectors.
 pub struct OtcRegsView<'a> {
-    regs: &'a [Vec<Option<Word>>],
+    regs: &'a [Plane],
     m: usize,
     cycle: usize,
 }
 
 impl OtcRegsView<'_> {
     /// The value of register `r` at BP `(i, j, q)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the register or coordinates are out of range.
+    #[inline]
     pub fn get(&self, r: Reg, i: usize, j: usize, q: usize) -> Option<Word> {
-        self.regs[r.0][(i * self.m + j) * self.cycle + q]
+        self.regs[r.0].get(cell(self.m, self.cycle, i, j, q))
     }
+}
+
+/// The flat index `(i·m + j)·L + q` of BP `(i, j, q)`.
+///
+/// # Panics
+///
+/// Panics if the coordinates are out of range.
+#[inline]
+fn cell(m: usize, cycle: usize, i: usize, j: usize, q: usize) -> usize {
+    assert!(i < m && j < m && q < cycle, "({i},{j},{q}) out of {m}x{m}x{cycle}");
+    (i * m + j) * cycle + q
 }
 
 /// Per-cycle register access during a cycle-local compute phase.
 pub struct CycleRegs<'a> {
-    regs: &'a mut [Vec<Option<Word>>],
+    regs: &'a mut [Plane],
+    /// The flat index of the cycle's position 0.
     base: usize,
     cycle: usize,
 }
@@ -72,7 +90,7 @@ impl CycleRegs<'_> {
     /// Panics if `q` is out of range.
     pub fn get(&self, r: Reg, q: usize) -> Option<Word> {
         assert!(q < self.cycle, "cycle position {q} out of range");
-        self.regs[r.0][self.base + q]
+        self.regs[r.0].get(self.base + q)
     }
 
     /// Sets this cycle's register `r` at position `q`.
@@ -82,7 +100,7 @@ impl CycleRegs<'_> {
     /// Panics if `q` is out of range.
     pub fn set(&mut self, r: Reg, q: usize, v: Option<Word>) {
         assert!(q < self.cycle, "cycle position {q} out of range");
-        self.regs[r.0][self.base + q] = v;
+        self.regs[r.0].set(self.base + q, v);
     }
 
     /// Cycle length.
@@ -99,10 +117,6 @@ impl CycleRegs<'_> {
 /// Cost class of a local compute phase (re-exported shape of the OTN's).
 pub use super::otn::PhaseCost;
 
-/// One tree's downward gather: `(tree, stream slot, (row, col, position),
-/// value)` per selected cycle position (see [`Otc`]'s `stream_downward`).
-type StreamWrites = Vec<(usize, usize, (usize, usize, usize), Option<Word>)>;
-
 /// The orthogonal tree cycles network. The clock, instruments, fault
 /// plan and parallel policy live in the shared [`Runtime`] the network
 /// dereferences to; the OTC's trees have one leaf per *cycle*, so a dark
@@ -112,7 +126,7 @@ pub struct Otc {
     rt: Runtime,
     m: usize,
     cycle: usize,
-    regs: Vec<Vec<Option<Word>>>,
+    regs: Vec<Plane>,
     row_roots: Vec<Vec<Option<Word>>>,
     col_roots: Vec<Vec<Option<Word>>>,
 }
@@ -223,31 +237,32 @@ impl Otc {
 
     /// Allocates a register plane (one word per BP, initially `NULL`).
     pub fn alloc_reg(&mut self, name: &'static str) -> Reg {
-        self.regs.push(vec![None; self.m * self.m * self.cycle]);
+        self.regs.push(Plane::new(self.base_processors()));
         self.rt.reg_names.push(name);
         Reg(self.regs.len() - 1)
     }
 
-    fn idx(&self, i: usize, j: usize, q: usize) -> usize {
-        (i * self.m + j) * self.cycle + q
-    }
-
     /// Reads one BP register (host-side, free).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the register or coordinates are out of range.
     pub fn peek(&self, r: Reg, i: usize, j: usize, q: usize) -> Option<Word> {
-        self.regs[r.0][self.idx(i, j, q)]
+        self.regs[r.0].get(cell(self.m, self.cycle, i, j, q))
     }
 
     /// Loads a register plane from `f(i, j, q)`.
     pub fn load_reg(&mut self, r: Reg, mut f: impl FnMut(usize, usize, usize) -> Option<Word>) {
+        let mut at = 0;
         for i in 0..self.m {
             for j in 0..self.m {
                 for q in 0..self.cycle {
-                    let at = self.idx(i, j, q);
-                    self.regs[r.0][at] = f(i, j, q);
+                    self.regs[r.0].set(at, f(i, j, q));
+                    at += 1;
                 }
             }
         }
-        self.clock_mut().stats_mut().inputs += (self.m * self.m * self.cycle) as u64;
+        self.clock_mut().stats_mut().inputs += self.base_processors() as u64;
     }
 
     /// Places `L` words at each row root's stream buffer (input ports;
@@ -302,8 +317,9 @@ impl Otc {
     // ------------------------------------------------------------------
 
     /// The downward stream executor (`ROOTTOCYCLE`): gathers each tree's
-    /// selected cycles' stream words, then transits and writes every word
-    /// in tree order and charges the registry cost.
+    /// selected cycles as a selection mask (one bit per cycle), then walks
+    /// the masks in tree → cycle → stream-position order, transiting and
+    /// writing every stream word, and charges the registry cost.
     fn stream_downward(
         &mut self,
         name: &str,
@@ -318,19 +334,13 @@ impl Otc {
             spec.name
         );
         self.begin_phase(spec.name);
-        let writes: Vec<StreamWrites> = {
+        let masks = {
             let view = OtcRegsView { regs: &self.regs, m: self.m, cycle: self.cycle };
             primitive::per_tree(self.parallel_policy(), self.m, |t| {
-                let mut w = Vec::new();
-                for l in 0..self.m {
+                plane::select_mask(self.m, |l| {
                     let (i, j) = axis.coords(t, l);
-                    if sel(i, j, &view) && !self.rt.is_dark(axis, t, l) {
-                        for q in 0..self.cycle {
-                            w.push((t, l * self.cycle + q, (i, j, q), self.roots(axis)[t][q]));
-                        }
-                    }
-                }
-                w
+                    sel(i, j, &view) && !self.rt.is_dark(axis, t, l)
+                })
             })
         };
         self.begin_fault_round();
@@ -339,21 +349,26 @@ impl Otc {
             rec.reach_round_begin();
         }
         let mut attempts = 0;
-        for (t, slot, (i, j, q), v) in writes.into_iter().flatten() {
-            let (v, att) = self.word_transit(axis, t, slot, v);
-            attempts = attempts.max(att);
-            let at = self.idx(i, j, q);
-            self.regs[dest.0][at] = v;
-            // One reach event per delivered cycle (the program abstracts
-            // the whole cycle as one leaf cell), not per stream position.
-            if q == 0 {
-                let leaf = (slot / self.cycle) as u64;
+        let (m, cycle) = (self.m, self.cycle);
+        let roots = self.roots(axis).to_vec();
+        let plane = &mut self.regs[dest.0];
+        for (t, mask) in masks.iter().enumerate() {
+            for l in plane::mask_leaves(mask) {
+                // One reach event per delivered cycle (the program abstracts
+                // the whole cycle as one leaf cell), not per stream position.
                 if let Some(rec) = self.rt.recorder.as_mut().filter(|_| tracing) {
                     rec.reach(
                         t as u64,
                         ReachCell::Root,
-                        ReachCell::Reg { reg: dest.0 as u64, leaf },
+                        ReachCell::Reg { reg: dest.0 as u64, leaf: l as u64 },
                     );
+                }
+                let (i, j) = axis.coords(t, l);
+                let base = (i * m + j) * cycle;
+                for (q, &word) in roots[t].iter().enumerate() {
+                    let (v, att) = self.rt.word_transit(axis, t, l * cycle + q, word);
+                    attempts = attempts.max(att);
+                    plane.set(base + q, v);
                 }
             }
         }
@@ -468,12 +483,7 @@ impl Otc {
             rec.reach_round_begin();
         }
         for r in regs {
-            for i in 0..self.m {
-                for j in 0..self.m {
-                    let base = self.idx(i, j, 0);
-                    self.regs[r.0][base..base + self.cycle].rotate_left(1);
-                }
-            }
+            self.regs[r.0].rotate_runs_left(self.cycle);
             // The rotate program names cycle positions as leaves and each
             // cycle `(i, j)` as its own tree.
             if tracing {
@@ -635,19 +645,20 @@ impl Otc {
         let mut writes = Vec::new();
         {
             let view = OtcRegsView { regs: &self.regs, m: self.m, cycle: self.cycle };
+            let mut at = 0;
             for i in 0..self.m {
                 for j in 0..self.m {
                     for q in 0..self.cycle {
                         if let Some((r, v)) = f(i, j, q, &view) {
-                            writes.push((r, (i, j, q), v));
+                            writes.push((r, at, v));
                         }
+                        at += 1;
                     }
                 }
             }
         }
-        for (r, (i, j, q), v) in writes {
-            let at = self.idx(i, j, q);
-            self.regs[r.0][at] = v;
+        for (r, at, v) in writes {
+            self.regs[r.0].set(at, v);
         }
         let t = self.phase_cost(cost);
         self.charge_compute("BP-PHASE", t);
@@ -684,12 +695,17 @@ impl crate::checkpoint::sealed::Cells for Otc {
     }
 
     fn save_cells(&self) -> (Buffers, [Buffers; 2]) {
-        (self.regs.clone(), [self.row_roots.clone(), self.col_roots.clone()])
+        (
+            self.regs.iter().map(Plane::to_vec).collect(),
+            [self.row_roots.clone(), self.col_roots.clone()],
+        )
     }
 
     fn load_cells(&mut self, planes: &[Vec<Option<Word>>], roots: &[Buffers; 2]) {
         self.regs.truncate(planes.len());
-        self.regs.clone_from_slice(planes);
+        for (plane, cells) in self.regs.iter_mut().zip(planes) {
+            plane.load(cells);
+        }
         self.row_roots.clone_from(&roots[0]);
         self.col_roots.clone_from(&roots[1]);
     }
@@ -823,6 +839,80 @@ mod tests {
         let lo = ratios.iter().cloned().fold(f64::INFINITY, f64::min);
         let hi = ratios.iter().cloned().fold(0.0f64, f64::max);
         assert!(hi / lo < 4.0, "{ratios:?}");
+    }
+
+    #[test]
+    fn zero_and_null_stay_distinct_in_streams() {
+        let mut n = net();
+        let a = n.alloc_reg("A");
+        // Cycle (i, j) position q: 0 on even q, NULL on odd q of row 0;
+        // NULL everywhere in row 1; q - 1 elsewhere (so -1, 0, 1, 2).
+        let cell = |i: usize, q: usize| match i {
+            0 => q.is_multiple_of(2).then_some(0),
+            1 => None,
+            _ => Some(q as Word - 1),
+        };
+        n.load_reg(a, |i, _, q| cell(i, q));
+        assert_eq!(n.peek(a, 0, 3, 2), Some(0));
+        assert_eq!(n.peek(a, 0, 3, 1), None);
+        n.sum_cycle_to_root(Axis::Rows, a, |_, _, _, _| true);
+        assert_eq!(n.roots(Axis::Rows)[0], [Some(0); 4], "NULL contributes nothing");
+        assert_eq!(n.roots(Axis::Rows)[2], [Some(-4), Some(0), Some(4), Some(8)]);
+        n.min_cycle_to_root(Axis::Rows, a, |_, _, _, _| true);
+        assert_eq!(n.roots(Axis::Rows)[0], [Some(0), None, Some(0), None], "NULL is no 0");
+        assert_eq!(n.roots(Axis::Rows)[1], [None; 4]);
+        let b = n.alloc_reg("B");
+        n.load_reg(b, |_, _, _| Some(5));
+        n.root_to_cycle(Axis::Rows, b, |_, j, _| j == 1);
+        assert_eq!(n.peek(b, 0, 1, 0), Some(0));
+        assert_eq!(n.peek(b, 0, 1, 1), None, "a relayed NULL clears the cell");
+        assert_eq!(n.peek(b, 0, 0, 1), Some(5), "unselected cycle untouched");
+    }
+
+    #[test]
+    fn an_erasure_clears_a_valid_stream_word() {
+        let mut n = net();
+        n.install_fault_plan(
+            crate::FaultPlan::new(5).with_word_fault_rate(0.5).with_max_retries(0),
+        );
+        let a = n.alloc_reg("A");
+        n.load_reg(a, |_, _, _| Some(-9));
+        n.load_row_root_buffers(&vec![vec![3; 4]; 4]);
+        n.root_to_cycle(Axis::Rows, a, |_, _, _| true);
+        let cells = crate::checkpoint::sealed::Cells::save_cells(&n).0.remove(0);
+        let erasures = n.fault_stats().erasures;
+        assert!(erasures > 0, "the plan must erase some deliveries");
+        assert_eq!(cells.iter().filter(|v| v.is_none()).count() as u64, erasures);
+        assert!(!cells.contains(&Some(-9)), "every delivery overwrote its cell");
+    }
+
+    /// Cycles on both sides of a 64-bit selection-word boundary, and the
+    /// last cycle, on a 128-cycle-per-side network.
+    #[test]
+    fn selections_across_mask_words_hit_exactly_their_cycles() {
+        let mut n = Otc::new(128, 2, CostModel::thompson(256)).unwrap();
+        let a = n.alloc_reg("A");
+        n.load_row_root_buffers(&(0..128).map(|t| vec![t, -t]).collect::<Vec<_>>());
+        n.root_to_cycle(Axis::Rows, a, |i, j, _| matches!((i, j), (0, 127) | (5, 63) | (5, 64)));
+        let mut hit = Vec::new();
+        for i in 0..128 {
+            for j in 0..128 {
+                if let Some(v) = n.peek(a, i, j, 0) {
+                    assert_eq!((v, n.peek(a, i, j, 1)), (i as Word, Some(-(i as Word))));
+                    hit.push((i, j));
+                }
+            }
+        }
+        assert_eq!(hit, [(0, 127), (5, 63), (5, 64)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of")]
+    fn peek_past_the_cycle_panics_even_inside_the_plane() {
+        let mut n = net();
+        let a = n.alloc_reg("A");
+        // (0, 0, 4) would alias (0, 1, 0) in the flat plane.
+        let _ = n.peek(a, 0, 0, 4);
     }
 
     #[test]

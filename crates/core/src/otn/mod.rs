@@ -24,7 +24,7 @@ pub mod prefix;
 pub mod sort;
 
 use crate::checkpoint::Buffers;
-use crate::grid::Grid;
+use crate::plane::{self, Plane};
 use crate::primitive::{self, Acc};
 use crate::resilience;
 use crate::runtime::{Kind, Runtime};
@@ -99,7 +99,8 @@ pub enum PhaseCost {
 /// express the paper's register predicates (e.g. SORT-OTN step 5's
 /// `j : R(j, i) = i`).
 pub struct RegsView<'a> {
-    regs: &'a [Grid<Option<Word>>],
+    regs: &'a [Plane],
+    shape: [usize; 2],
 }
 
 impl RegsView<'_> {
@@ -108,27 +109,41 @@ impl RegsView<'_> {
     /// # Panics
     ///
     /// Panics if the register or coordinates are out of range.
+    #[inline]
     pub fn get(&self, r: Reg, row: usize, col: usize) -> Option<Word> {
-        *self.regs[r.0].get(row, col)
+        self.regs[r.0].get(cell(self.shape, row, col))
     }
+}
+
+/// The flat row-major index of BP `(row, col)` in a `[rows, cols]` grid.
+///
+/// # Panics
+///
+/// Panics if the coordinates are out of range.
+#[inline]
+fn cell([rows, cols]: [usize; 2], row: usize, col: usize) -> usize {
+    assert!(row < rows && col < cols, "({row},{col}) out of {rows}x{cols}");
+    row * cols + col
 }
 
 /// Per-BP register access during a compute phase.
 pub struct BpRegs<'a> {
-    regs: &'a mut [Grid<Option<Word>>],
-    row: usize,
-    col: usize,
+    regs: &'a mut [Plane],
+    /// The BP's flat cell index, computed once per BP.
+    at: usize,
 }
 
 impl BpRegs<'_> {
     /// This BP's value of register `r`.
+    #[inline]
     pub fn get(&self, r: Reg) -> Option<Word> {
-        *self.regs[r.0].get(self.row, self.col)
+        self.regs[r.0].get(self.at)
     }
 
     /// Sets this BP's register `r`.
+    #[inline]
     pub fn set(&mut self, r: Reg, v: Option<Word>) {
-        self.regs[r.0].set(self.row, self.col, v);
+        self.regs[r.0].set(self.at, v);
     }
 }
 
@@ -144,7 +159,7 @@ pub struct Otn {
     rt: Runtime,
     rows: usize,
     cols: usize,
-    regs: Vec<Grid<Option<Word>>>,
+    regs: Vec<Plane>,
     row_roots: Vec<Option<Word>>,
     col_roots: Vec<Option<Word>>,
 }
@@ -241,7 +256,7 @@ impl Otn {
 
     /// Allocates a fresh register plane (initially all `NULL`).
     pub fn alloc_reg(&mut self, name: &'static str) -> Reg {
-        self.regs.push(Grid::filled(self.rows, self.cols, None));
+        self.regs.push(Plane::new(self.rows * self.cols));
         self.rt.reg_names.push(name);
         Reg(self.regs.len() - 1)
     }
@@ -289,15 +304,19 @@ impl Otn {
     pub fn load_reg(&mut self, r: Reg, mut f: impl FnMut(usize, usize) -> Option<Word>) {
         for i in 0..self.rows {
             for j in 0..self.cols {
-                self.regs[r.0].set(i, j, f(i, j));
+                self.regs[r.0].set(i * self.cols + j, f(i, j));
             }
         }
         self.clock_mut().stats_mut().inputs += (self.rows * self.cols) as u64;
     }
 
     /// Reads one register value (host-side inspection, free).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the register or coordinates are out of range.
     pub fn peek(&self, r: Reg, row: usize, col: usize) -> Option<Word> {
-        *self.regs[r.0].get(row, col)
+        self.regs[r.0].get(cell([self.rows, self.cols], row, col))
     }
 
     /// Writes one register value without charging time — for use *inside*
@@ -305,7 +324,8 @@ impl Otn {
     /// the scan primitives in [`prefix`]); algorithms should use
     /// [`Otn::bp_phase`] or the communication primitives instead.
     pub(crate) fn poke(&mut self, r: Reg, row: usize, col: usize, v: Option<Word>) {
-        self.regs[r.0].set(row, col, v);
+        let at = cell([self.rows, self.cols], row, col);
+        self.regs[r.0].set(at, v);
     }
 
     // ------------------------------------------------------------------
@@ -317,11 +337,9 @@ impl Otn {
     // ------------------------------------------------------------------
 
     /// The downward executor (`ROOTTOLEAF`): gathers every tree's selected
-    /// leaves, then transits and writes each delivered word in tree order,
+    /// leaves as a selection mask (one bit per leaf), then walks the masks
+    /// in tree → leaf order, transiting and writing each delivered word,
     /// then charges the registry cost.
-    ///
-    /// [`DownWrites`] is the per-tree gather result: one
-    /// `(tree, leaf, row, col, value)` tuple per selected leaf.
     fn tree_downward(
         &mut self,
         name: &str,
@@ -336,18 +354,13 @@ impl Otn {
             spec.name
         );
         self.begin_phase(spec.name);
-        let (trees, leaves) = (self.trees(axis), self.leaves(axis));
-        let writes: Vec<DownWrites> = {
-            let view = RegsView { regs: &self.regs };
-            primitive::per_tree(self.parallel_policy(), trees, |t| {
-                let value = self.roots(axis)[t];
-                (0..leaves)
-                    .filter_map(|l| {
-                        let (i, j) = axis.coords(t, l);
-                        (sel(i, j, &view) && !self.rt.is_dark(axis, t, l))
-                            .then_some((t, l, i, j, value))
-                    })
-                    .collect()
+        let masks = {
+            let view = RegsView { regs: &self.regs, shape: [self.rows, self.cols] };
+            primitive::per_tree(self.parallel_policy(), self.trees(axis), |t| {
+                plane::select_mask(self.leaves(axis), |l| {
+                    let (i, j) = axis.coords(t, l);
+                    sel(i, j, &view) && !self.rt.is_dark(axis, t, l)
+                })
             })
         };
         self.begin_fault_round();
@@ -356,16 +369,21 @@ impl Otn {
             rec.reach_round_begin();
         }
         let mut attempts = 0;
-        for (t, l, i, j, v) in writes.into_iter().flatten() {
-            let (v, att) = self.word_transit(axis, t, l, v);
-            attempts = attempts.max(att);
-            self.regs[dest.0].set(i, j, v);
-            if let Some(rec) = self.rt.recorder.as_mut().filter(|_| tracing) {
-                rec.reach(
-                    t as u64,
-                    ReachCell::Root,
-                    ReachCell::Reg { reg: dest.0 as u64, leaf: l as u64 },
-                );
+        let roots = self.roots(axis).to_vec();
+        let plane = &mut self.regs[dest.0];
+        for (t, mask) in masks.iter().enumerate() {
+            for l in plane::mask_leaves(mask) {
+                let (v, att) = self.rt.word_transit(axis, t, l, roots[t]);
+                attempts = attempts.max(att);
+                let (i, j) = axis.coords(t, l);
+                plane.set(i * self.cols + j, v);
+                if let Some(rec) = self.rt.recorder.as_mut().filter(|_| tracing) {
+                    rec.reach(
+                        t as u64,
+                        ReachCell::Root,
+                        ReachCell::Reg { reg: dest.0 as u64, leaf: l as u64 },
+                    );
+                }
             }
         }
         self.charge_primitive(spec, axis, 1, attempts);
@@ -399,7 +417,7 @@ impl Otn {
         let degraded = self.has_fault_plan();
         let tracing = self.reach_tracing();
         let gathered: Vec<(Option<Word>, Vec<usize>)> = {
-            let view = RegsView { regs: &self.regs };
+            let view = RegsView { regs: &self.regs, shape: [self.rows, self.cols] };
             primitive::per_tree(self.parallel_policy(), trees, |t| {
                 let mut acc = Acc::new(monoid);
                 // Contributor leaves are only collected under reach
@@ -634,7 +652,7 @@ impl Otn {
     pub fn bp_phase(&mut self, cost: PhaseCost, mut f: impl FnMut(usize, usize, &mut BpRegs<'_>)) {
         for i in 0..self.rows {
             for j in 0..self.cols {
-                let mut bp = BpRegs { regs: &mut self.regs, row: i, col: j };
+                let mut bp = BpRegs { regs: &mut self.regs, at: i * self.cols + j };
                 f(i, j, &mut bp);
             }
         }
@@ -707,11 +725,11 @@ impl Otn {
                 }
                 let (ai, aj) = axis.coords(t, l);
                 let (bi, bj) = axis.coords(t, l + dist);
-                let a = *self.regs[reg.0].get(ai, aj);
-                let b = *self.regs[reg.0].get(bi, bj);
-                let (na, nb) = f(t, l, a, b);
-                self.regs[reg.0].set(ai, aj, na);
-                self.regs[reg.0].set(bi, bj, nb);
+                let (a_at, b_at) = (ai * self.cols + aj, bi * self.cols + bj);
+                let plane = &mut self.regs[reg.0];
+                let (na, nb) = f(t, l, plane.get(a_at), plane.get(b_at));
+                plane.set(a_at, na);
+                plane.set(b_at, nb);
             }
         }
         let extra_t = self.phase_cost(extra);
@@ -742,15 +760,15 @@ impl crate::checkpoint::sealed::Cells for Otn {
     fn save_cells(&self) -> (Buffers, [Buffers; 2]) {
         let ports = |roots: &[Option<Word>]| roots.iter().map(|&w| vec![w]).collect();
         (
-            self.regs.iter().map(|g| g.as_slice().to_vec()).collect(),
+            self.regs.iter().map(Plane::to_vec).collect(),
             [ports(&self.row_roots), ports(&self.col_roots)],
         )
     }
 
     fn load_cells(&mut self, planes: &[Vec<Option<Word>>], roots: &[Buffers; 2]) {
         self.regs.truncate(planes.len());
-        for (grid, plane) in self.regs.iter_mut().zip(planes) {
-            grid.as_mut_slice().clone_from_slice(plane);
+        for (plane, cells) in self.regs.iter_mut().zip(planes) {
+            plane.load(cells);
         }
         self.row_roots = roots[0].iter().map(|port| port[0]).collect();
         self.col_roots = roots[1].iter().map(|port| port[0]).collect();
@@ -761,10 +779,6 @@ impl crate::checkpoint::sealed::Cells for Otn {
 pub fn all(_row: usize, _col: usize, _view: &RegsView<'_>) -> bool {
     true
 }
-
-/// One tree's downward gather: `(tree, leaf, row, col, value)` per
-/// selected leaf (see [`Otn`]'s `tree_downward`).
-type DownWrites = Vec<(usize, usize, usize, usize, Option<Word>)>;
 
 #[cfg(test)]
 mod tests {
@@ -1023,6 +1037,149 @@ mod edge_case_tests {
         let mut log = Otn::for_sorting(16).unwrap();
         let fast = super::sort::sort(&mut log, &xs).unwrap();
         assert!(slow.time > fast.time * 2, "{} !>> {}", slow.time, fast.time);
+    }
+
+    #[test]
+    fn zero_and_null_stay_distinct_through_the_primitives() {
+        let cells = [
+            [Some(0), None, Some(0), None],
+            [None; 4],
+            [Some(0), Some(0), Some(7), None],
+            [Some(-1), Some(0), None, Some(2)],
+        ];
+        let mut n = Otn::for_sorting(4).unwrap();
+        let a = n.alloc_reg("A");
+        n.load_reg(a, |i, j| cells[i][j]);
+        for (i, row) in cells.iter().enumerate() {
+            for (j, &v) in row.iter().enumerate() {
+                assert_eq!(n.peek(a, i, j), v, "({i},{j})");
+            }
+        }
+        n.count_to_root(Axis::Rows, a);
+        assert_eq!(n.roots(Axis::Rows), &[Some(0), Some(0), Some(1), Some(2)], "0 is no flag");
+        n.sum_to_root(Axis::Rows, a, all);
+        assert_eq!(n.roots(Axis::Rows), &[Some(0), Some(0), Some(7), Some(1)]);
+        n.min_to_root(Axis::Rows, a, all);
+        assert_eq!(n.roots(Axis::Rows), &[Some(0), None, Some(0), Some(-1)], "NULL is no 0");
+        n.leaf_to_root(Axis::Cols, a, |i, _, _| i == 0);
+        assert_eq!(n.roots(Axis::Cols), &[Some(0), None, Some(0), None]);
+        // Relayed back down, a 0 lands as 0 and a NULL as NULL.
+        let b = n.alloc_reg("B");
+        n.load_reg(b, |_, _| Some(5));
+        n.root_to_leaf(Axis::Cols, b, all);
+        assert_eq!(n.peek(b, 3, 0), Some(0));
+        assert_eq!(n.peek(b, 3, 1), None);
+    }
+
+    #[test]
+    fn an_erasure_clears_a_valid_cell() {
+        let mut n = Otn::for_sorting(16).unwrap();
+        n.install_fault_plan(
+            crate::FaultPlan::new(3).with_word_fault_rate(0.5).with_max_retries(0),
+        );
+        let a = n.alloc_reg("A");
+        n.load_reg(a, |_, _| Some(-9));
+        n.load_row_roots(&[5; 16]);
+        n.root_to_leaf(Axis::Rows, a, all);
+        let cells: Vec<Option<Word>> = (0..16)
+            .flat_map(|i| (0..16).map(move |j| (i, j)))
+            .map(|(i, j)| n.peek(a, i, j))
+            .collect();
+        let erasures = n.fault_stats().erasures;
+        assert!(erasures > 0, "the plan must erase some deliveries");
+        assert_eq!(cells.iter().filter(|v| v.is_none()).count() as u64, erasures);
+        assert!(!cells.contains(&Some(-9)), "every delivery overwrote its cell");
+        let plane = &n.snapshot_planes()[0];
+        assert_eq!(plane, &cells, "the checkpoint sees the cleared flags");
+    }
+
+    /// Leaves on both sides of a 64-bit selection-word boundary, and the
+    /// last leaf, on both axes of a 128-leaf network.
+    #[test]
+    fn selections_across_mask_words_hit_exactly_their_leaves() {
+        for axis in [Axis::Rows, Axis::Cols] {
+            let (rows, cols) = if axis == Axis::Rows { (2, 128) } else { (128, 2) };
+            let mut n = Otn::new(rows, cols, CostModel::thompson(128)).unwrap();
+            let mut rec = orthotrees_obs::Recorder::new();
+            rec.enable_reach();
+            n.install_recorder(rec);
+            let a = n.alloc_reg("A");
+            n.set_roots(axis, vec![Some(1), Some(2)]);
+            let leaf = |i: usize, j: usize| if axis == Axis::Rows { j } else { i };
+            n.root_to_leaf(axis, a, |i, j, _| leaf(i, j) == 127);
+            n.root_to_leaf(axis, a, |i, j, _| matches!(leaf(i, j), 63 | 64));
+            let mut hit = Vec::new();
+            for t in 0..2 {
+                for l in 0..128 {
+                    let (i, j) = axis.coords(t, l);
+                    if let Some(v) = n.peek(a, i, j) {
+                        assert_eq!(v, t as Word + 1);
+                        hit.push((t, l));
+                    }
+                }
+            }
+            let want = vec![(0, 63), (0, 64), (0, 127), (1, 63), (1, 64), (1, 127)];
+            assert_eq!(hit, want, "{axis:?}");
+            let leaves: Vec<ReachCell> =
+                n.recorder().unwrap().reach_events().iter().map(|e| e.to).collect();
+            let reg = |leaf| ReachCell::Reg { reg: 0, leaf };
+            assert_eq!(leaves, [127, 127, 63, 64, 63, 64].map(reg), "{axis:?}");
+        }
+    }
+
+    /// Every register cell of a non-square (or degenerate) network is
+    /// addressed row-major: loads, broadcasts, BP phases, gathers and
+    /// checkpoints agree on which BP is which.
+    #[test]
+    fn rectangular_and_degenerate_planes_index_row_major() {
+        for (rows, cols) in [(16, 4), (4, 16), (1, 8), (8, 1), (1, 1)] {
+            let mut n = Otn::new(rows, cols, CostModel::thompson(16)).unwrap();
+            let a = n.alloc_reg("A");
+            let b = n.alloc_reg("B");
+            let at = |i: usize, j: usize| (100 * i + j) as Word;
+            n.load_reg(a, |i, j| Some(at(i, j)));
+            n.bp_phase(PhaseCost::Add, |i, j, bp| {
+                assert_eq!(bp.get(a), Some(at(i, j)));
+                bp.set(b, bp.get(a).map(|v| v + 1));
+            });
+            n.leaf_to_root(Axis::Rows, b, |_, j, _| j + 1 == cols);
+            let want: Vec<Option<Word>> = (0..rows).map(|i| Some(at(i, cols - 1) + 1)).collect();
+            assert_eq!(n.roots(Axis::Rows), want.as_slice(), "{rows}x{cols}");
+            n.root_to_leaf(Axis::Rows, a, |i, j, _| (i + j) % 2 == 0);
+            for i in 0..rows {
+                for j in 0..cols {
+                    let v = if (i + j) % 2 == 0 { at(i, cols - 1) + 1 } else { at(i, j) };
+                    assert_eq!(n.peek(a, i, j), Some(v), "{rows}x{cols} ({i},{j})");
+                }
+            }
+            let flat: Vec<Option<Word>> =
+                (0..rows * cols).map(|k| n.peek(a, k / cols, k % cols)).collect();
+            assert_eq!(n.snapshot_planes()[0], flat, "{rows}x{cols}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "out of")]
+    fn peek_past_the_last_column_panics_even_inside_the_plane() {
+        let mut n = Otn::for_sorting(4).unwrap();
+        let a = n.alloc_reg("A");
+        // (0, 4) would alias cell (1, 0) in the flat plane.
+        let _ = n.peek(a, 0, 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of")]
+    fn peek_past_the_last_row_panics() {
+        let mut n = Otn::new(16, 4, CostModel::thompson(16)).unwrap();
+        let a = n.alloc_reg("A");
+        let _ = n.peek(a, 16, 0);
+    }
+
+    impl Otn {
+        /// The register planes as a checkpoint would save them.
+        fn snapshot_planes(&self) -> Vec<Vec<Option<Word>>> {
+            crate::checkpoint::sealed::Cells::save_cells(self).0
+        }
     }
 
     #[test]

@@ -281,6 +281,7 @@ impl Runtime {
     }
 
     /// Whether `leaf` of `tree` along `axis` is cut off by a dead IP.
+    #[inline]
     pub(crate) fn is_dark(&self, axis: Axis, tree: usize, leaf: usize) -> bool {
         self.fault.as_ref().is_some_and(|f| f.is_dark(axis, tree, leaf))
     }
@@ -296,6 +297,7 @@ impl Runtime {
     /// installed plan (identity without one). Returns the delivered word
     /// and extra attempts used. Each network maps its transits to `leaf`
     /// site indices of its own.
+    #[inline]
     pub(crate) fn word_transit(
         &mut self,
         axis: Axis,

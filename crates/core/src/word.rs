@@ -3,9 +3,11 @@
 //! The paper assumes all values are `O(log N)`-bit words (§II.B). We use
 //! `i64` as the host representation and let each network's
 //! [`CostModel`](orthotrees_vlsi::CostModel) state how many bits the words
-//! it transports are charged for. Registers hold `Option<Word>`, with `None`
-//! playing the role of the paper's `NULL` (e.g. SORT-OTC step 5.1 loads
-//! NULL into `D(0)`).
+//! it transports are charged for. The register API speaks `Option<Word>`,
+//! with `None` playing the role of the paper's `NULL` (e.g. SORT-OTC step
+//! 5.1 loads NULL into `D(0)`). The storage behind it is dense: each
+//! register plane is a `Vec<Word>` plus a per-cell validity flag (see
+//! `plane.rs`), so `NULL` costs a cleared flag, not a 16-byte `Option`.
 
 /// A machine word. The paper's algorithms manipulate `O(log N)`-bit values;
 /// `i64` comfortably hosts the packed pairs the graph algorithms use.

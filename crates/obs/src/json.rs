@@ -5,6 +5,9 @@
 //! keys keep their insertion order (stable, diffable dumps); numbers are
 //! `f64`, which is exact for every integer the simulators emit (bit-times
 //! and counters stay far below 2⁵³ in practice; [`Json::u64`] asserts it).
+//! The parser recurses once per nested array or object, so it refuses
+//! input nested deeper than [`MAX_DEPTH`] with a [`ParseError`] instead of
+//! overflowing the stack.
 //!
 //! # Example
 //!
@@ -17,6 +20,10 @@
 //! ```
 
 use std::fmt::Write as _;
+
+/// Deepest array/object nesting [`Json::parse`] accepts. The exported
+/// documents nest fewer than ten levels.
+pub const MAX_DEPTH: usize = 128;
 
 /// A JSON value.
 #[derive(Clone, Debug, PartialEq)]
@@ -196,7 +203,7 @@ impl Json {
     /// Returns a [`ParseError`] naming the byte offset of the first
     /// offending character.
     pub fn parse(text: &str) -> Result<Json, ParseError> {
-        let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
+        let mut p = Parser { bytes: text.as_bytes(), pos: 0, depth: 0 };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
@@ -245,6 +252,8 @@ fn write_escaped(out: &mut String, s: &str) {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -286,11 +295,26 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(self.err("expected a value")),
         }
+    }
+
+    /// Parses one array or object a nesting level deeper, refusing to go
+    /// past [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        container: fn(&mut Self) -> Result<Json, ParseError>,
+    ) -> Result<Json, ParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err("nesting too deep"));
+        }
+        self.depth += 1;
+        let v = container(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Json, ParseError> {
@@ -459,6 +483,21 @@ mod tests {
         for bad in ["", "{", "[1,", "{\"a\":}", "tru", "1 2", "\"unterminated"] {
             assert!(Json::parse(bad).is_err(), "{bad:?} should not parse");
         }
+    }
+
+    #[test]
+    fn nesting_past_the_limit_is_an_error_not_a_stack_overflow() {
+        let deep = "[".repeat(100_000);
+        assert_eq!(
+            Json::parse(&deep),
+            Err(ParseError { message: "nesting too deep", at: MAX_DEPTH })
+        );
+        let deep_obj = "{\"k\":".repeat(MAX_DEPTH + 1);
+        assert_eq!(Json::parse(&deep_obj).unwrap_err().message, "nesting too deep");
+        let nested = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        let at_limit = Json::parse(&nested(MAX_DEPTH)).expect("MAX_DEPTH levels parse");
+        assert_eq!(at_limit.render(), nested(MAX_DEPTH));
+        assert_eq!(Json::parse(&nested(MAX_DEPTH + 1)).unwrap_err().message, "nesting too deep");
     }
 
     #[test]

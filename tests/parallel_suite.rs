@@ -5,10 +5,19 @@
 //! statistics and the fault statistics. Only the read-only gather is
 //! parallelised (writes, transits and charges replay in tree order), so
 //! any divergence is an executor bug, not a tolerance.
+//!
+//! A change both policies share cannot show up as a Threads/Sequential
+//! difference, so the last section also pins one faulty, reach-traced
+//! sort per network against a committed golden fixture.
 
-use orthotrees::otc::Otc;
+use orthotrees::checkpoint::Checkpoint;
+use orthotrees::obs::Recorder;
+use orthotrees::otc::{self, Otc};
+use orthotrees::otn::sort::SortOutcome;
 use orthotrees::otn::{self, Axis, Otn, PhaseCost};
 use orthotrees::{BitTime, FaultPlan, FaultStats, OpStats, ParallelPolicy, Word};
+use orthotrees_analysis::workloads::distinct_words;
+use orthotrees_bench::profile::dense_plan;
 use proptest::prelude::*;
 
 /// A moderately damaging plan: detectable and silent word faults plus
@@ -172,4 +181,63 @@ fn threaded_sort_matches_sequential_sort() {
     assert_eq!(seq_out.sorted, par_out.sorted);
     assert_eq!(seq_out.time, par_out.time);
     assert_eq!(seq.clock().stats(), par.clock().stats());
+}
+
+// ---------------------------------------------------------------------
+// Golden identity: one dense-fault, reach-traced sort per network.
+// ---------------------------------------------------------------------
+
+/// Renders everything a sort run exposes: the outcome, the fault
+/// counters, the recorder's span and reach-event counts with an FNV-1a
+/// digest of the reach events, and the post-run checkpoint text.
+fn golden_render<N: Checkpoint>(mut net: N, sort: impl FnOnce(&mut N) -> SortOutcome) -> String {
+    let mut rec = Recorder::new();
+    rec.enable_reach();
+    net.install_recorder(rec);
+    let out = sort(&mut net);
+    let rec = net.take_recorder().expect("recorder installed");
+    let digest = rec.reach_events().iter().fold(0xcbf2_9ce4_8422_2325_u64, |h, e| {
+        format!("{e:?}").bytes().fold(h, |h, b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
+    });
+    format!(
+        "sorted: {:?}\nmissing: {:?}\ntime: {}\nstats: {:?}\nfaults: {:?}\n\
+         spans: {}\nreach_events: {}\nreach_digest: {digest:#018x}\ncheckpoint: {}\n",
+        out.sorted,
+        out.missing,
+        out.time.get(),
+        out.stats,
+        net.fault_stats(),
+        rec.spans().len(),
+        rec.reach_events().len(),
+        net.checkpoint_text(),
+    )
+}
+
+fn golden_fixture(name: &str) -> String {
+    let path =
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/fixtures").join(name);
+    std::fs::read_to_string(path).expect("golden sort fixtures are committed")
+}
+
+/// SORT-OTN at n = 128 (two 64-leaf selection words per tree) under
+/// `dense_plan(11)`: output, τ, `OpStats`, `FaultStats`, recorder output
+/// and every register cell are byte-identical to the committed run.
+#[test]
+fn otn_sort_matches_the_golden_fixture() {
+    let mut net = Otn::for_sorting(128).unwrap();
+    net.install_fault_plan(dense_plan(11));
+    let xs = distinct_words(128, 11);
+    let fresh = golden_render(net, |net| otn::sort::sort(net, &xs).unwrap());
+    assert!(fresh == golden_fixture("golden_otn_sort_128.txt"), "SORT-OTN n=128 drifted");
+}
+
+/// The OTC twin: SORT-OTC at n = 256 (32 × 32 cycles of 8) under
+/// `dense_plan(12)`.
+#[test]
+fn otc_sort_matches_the_golden_fixture() {
+    let mut net = Otc::for_sorting(256).unwrap();
+    net.install_fault_plan(dense_plan(12));
+    let xs = distinct_words(256, 12);
+    let fresh = golden_render(net, |net| otc::sort::sort(net, &xs).unwrap());
+    assert!(fresh == golden_fixture("golden_otc_sort_256.txt"), "SORT-OTC n=256 drifted");
 }
