@@ -21,6 +21,18 @@ for workload in otn-sort otc-sort-observed; do
     | tail -n 1 | grep -q '"failed":0[,}]' \
     || { echo "perfbench $workload: failed problems"; exit 1; }
 done
+# Plane-recycling guard: dropped register planes are reused, not returned
+# to the OS and faulted back in, so a traced otn-sort run stays far below
+# one refault per plane page (≈2300 minor faults per problem without
+# recycling). Fails at 100 or more.
+CARGO_TARGET_DIR=target/perfbench python3 perfbench/run.py \
+    --workload otn-sort --seed 1 --seconds 2 --trace 1 \
+  | tail -n 1 | python3 -c '
+import json, sys
+faults = json.load(sys.stdin)["metrics"]["proc.minflt_per_problem"]["value"]
+print(f"perfbench otn-sort: {faults:.2f} minor faults per problem")
+sys.exit(0 if faults < 100 else 1)' \
+  || { echo "perfbench otn-sort: register planes refault (limit: 100 per problem)"; exit 1; }
 # Static verification: all passes, with the JSON report kept as a CI
 # artifact. The committed RULES.md must match the in-code catalogue, the
 # DFLOW mutation fixtures must fire, and the large static-vs-dynamic

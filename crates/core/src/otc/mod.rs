@@ -23,7 +23,7 @@ pub mod sort;
 
 use crate::checkpoint::Buffers;
 use crate::plane::{self, Plane};
-use crate::primitive::{self, Acc};
+use crate::primitive;
 use crate::runtime::{Kind, Runtime};
 use crate::word::Word;
 use orthotrees_obs::causal::ReachCell;
@@ -316,10 +316,12 @@ impl Otc {
     // writes → one registry-derived charge.
     // ------------------------------------------------------------------
 
-    /// The downward stream executor (`ROOTTOCYCLE`): gathers each tree's
-    /// selected cycles as a selection mask (one bit per cycle), then walks
-    /// the masks in tree → cycle → stream-position order, transiting and
-    /// writing every stream word, and charges the registry cost.
+    /// The downward stream executor (`ROOTTOCYCLE`): gathers the selected
+    /// cycles as a [`Selection`](plane::Selection), then transits and
+    /// writes every stream word in memory order (cycle row by cycle row,
+    /// each cycle's positions in turn), and charges the registry cost.
+    /// Reach events keep the paper's tree → cycle order in a pass of
+    /// their own (see [`Otn`](crate::otn::Otn)'s `tree_downward`).
     fn stream_downward(
         &mut self,
         name: &str,
@@ -334,43 +336,38 @@ impl Otc {
             spec.name
         );
         self.begin_phase(spec.name);
-        let masks = {
-            let view = OtcRegsView { regs: &self.regs, m: self.m, cycle: self.cycle };
-            primitive::per_tree(self.parallel_policy(), self.m, |t| {
-                plane::select_mask(self.m, |l| {
-                    let (i, j) = axis.coords(t, l);
-                    sel(i, j, &view) && !self.rt.is_dark(axis, t, l)
-                })
+        let (m, cycle) = (self.m, self.cycle);
+        let picked = {
+            let view = OtcRegsView { regs: &self.regs, m, cycle };
+            plane::Selection::gather(self.parallel_policy(), m, m, |i, j| {
+                let (t, l) = axis.coords(i, j);
+                sel(i, j, &view) && !self.rt.is_dark(axis, t, l)
             })
         };
         self.begin_fault_round();
-        let tracing = self.reach_tracing();
-        if let Some(rec) = self.rt.recorder.as_mut().filter(|_| tracing) {
+        if let Some(rec) = self.rt.recorder.as_mut().filter(|rec| rec.reach_enabled()) {
             rec.reach_round_begin();
+            // One reach event per delivered cycle (the program abstracts
+            // the whole cycle as one leaf cell), not per stream position.
+            for (t, l) in picked.tree_order(axis, m, m) {
+                let to = ReachCell::Reg { reg: dest.0 as u64, leaf: l as u64 };
+                rec.reach(t as u64, ReachCell::Root, to);
+            }
         }
         let mut attempts = 0;
-        let (m, cycle) = (self.m, self.cycle);
         let roots = self.roots(axis).to_vec();
-        let plane = &mut self.regs[dest.0];
-        for (t, mask) in masks.iter().enumerate() {
-            for l in plane::mask_leaves(mask) {
-                // One reach event per delivered cycle (the program abstracts
-                // the whole cycle as one leaf cell), not per stream position.
-                if let Some(rec) = self.rt.recorder.as_mut().filter(|_| tracing) {
-                    rec.reach(
-                        t as u64,
-                        ReachCell::Root,
-                        ReachCell::Reg { reg: dest.0 as u64, leaf: l as u64 },
-                    );
-                }
-                let (i, j) = axis.coords(t, l);
-                let base = (i * m + j) * cycle;
+        let (rt, plane) = (&mut self.rt, &mut self.regs[dest.0]);
+        for i in 0..m {
+            let (words, valid) = plane.run_mut(i * m * cycle, (i + 1) * m * cycle);
+            picked.for_each_in(i, 0..m, |j| {
+                let (t, l) = axis.coords(i, j);
                 for (q, &word) in roots[t].iter().enumerate() {
-                    let (v, att) = self.rt.word_transit(axis, t, l * cycle + q, word);
+                    let (v, att) = rt.word_transit(axis, t, l * cycle + q, word);
                     attempts = attempts.max(att);
-                    plane.set(base + q, v);
+                    words[j * cycle + q] = v.unwrap_or(0);
+                    valid[j * cycle + q] = v.is_some();
                 }
-            }
+            });
         }
         self.rt.charge_primitive(spec, axis, self.cycle, attempts);
         self.end_phase();
@@ -379,8 +376,15 @@ impl Otc {
     /// The upward stream executor (`CYCLETOROOT` and the stream
     /// aggregates): per tree and stream position, folds the selected
     /// cycles' words through `spec`'s combine
-    /// [`Monoid`](crate::primitive::Monoid), then transits each root-bound
-    /// word in tree order and charges the registry cost.
+    /// [`Monoid`](crate::primitive::Monoid): gathers one selection bit per
+    /// cycle position, folds the selected words in one memory-order sweep
+    /// ([`primitive::fold_trees`]), then transits each root-bound word in
+    /// tree order and charges the registry cost.
+    ///
+    /// # Panics
+    ///
+    /// Without a fault plan, panics on `First` contention, naming the
+    /// lowest contended tree and its lowest contended position.
     fn stream_upward(
         &mut self,
         name: &str,
@@ -400,48 +404,36 @@ impl Otc {
             spec.name
         );
         self.begin_phase(spec.name);
-        let degraded = self.has_fault_plan();
-        let tracing = self.reach_tracing();
-        let gathered: Vec<(Vec<Option<Word>>, Vec<usize>)> = {
-            let view = OtcRegsView { regs: &self.regs, m: self.m, cycle: self.cycle };
-            primitive::per_tree(self.parallel_policy(), self.m, |t| {
-                // Contributor cycles (deduped across stream positions) are
-                // only collected under reach tracing; the Vec stays empty
-                // (no allocation) otherwise.
-                let mut contributors: Vec<usize> = Vec::new();
-                let buffer: Vec<Option<Word>> = (0..self.cycle)
-                    .map(|q| {
-                        let mut acc = Acc::new(monoid);
-                        for l in 0..self.m {
-                            let (i, j) = axis.coords(t, l);
-                            if sel(i, j, q, &view) && !self.rt.is_dark(axis, t, l) {
-                                if tracing && !contributors.contains(&l) {
-                                    contributors.push(l);
-                                }
-                                // On First contention under faults, the
-                                // fold keeps the first word (corrupted
-                                // selectors legitimately collide); in a
-                                // healthy net it is an invariant violation.
-                                acc.fold(view.get(src, i, j, q), || {
-                                    assert!(
-                                        degraded,
-                                        "{} contention: tree {t} position {q} selected twice \
-                                         (invariant: one cycle per tree and position)",
-                                        spec.name
-                                    );
-                                });
-                            }
-                        }
-                        acc.finish()
-                    })
-                    .collect();
-                (buffer, contributors)
-            })
+        let (m, cycle) = (self.m, self.cycle);
+        let folds = {
+            let view = OtcRegsView { regs: &self.regs, m, cycle };
+            let policy = self.parallel_policy();
+            let shift = cycle.trailing_zeros();
+            // One selection bit per cycle position: column `j·L + q`.
+            let picked = plane::Selection::gather(policy, m, m * cycle, |i, c| {
+                let (j, q) = (c >> shift, c & (cycle - 1));
+                let (t, l) = axis.coords(i, j);
+                sel(i, j, q, &view) && !self.rt.is_dark(axis, t, l)
+            });
+            let (tracing, words) = (self.reach_tracing(), &self.regs[src.0]);
+            let shape = [m, m, cycle];
+            primitive::fold_trees(policy, axis, &picked, shape, monoid, tracing, |at| words.get(at))
         };
-        if let Some(rec) = self.rt.recorder.as_mut().filter(|_| tracing) {
+        // On First contention under faults, the fold keeps the first word
+        // (corrupted selectors legitimately collide); in a healthy net it
+        // is an invariant violation.
+        if let Some((t, q)) = folds.first_contended() {
+            assert!(
+                self.has_fault_plan(),
+                "{} contention: tree {t} position {q} selected twice \
+                 (invariant: one cycle per tree and position)",
+                spec.name
+            );
+        }
+        if let Some(rec) = self.rt.recorder.as_mut().filter(|rec| rec.reach_enabled()) {
             rec.reach_round_begin();
-            for (t, (_, contributors)) in gathered.iter().enumerate() {
-                for &l in contributors {
+            for t in 0..m {
+                for l in folds.contributors(t) {
                     rec.reach(
                         t as u64,
                         ReachCell::Reg { reg: src.0 as u64, leaf: l as u64 },
@@ -451,7 +443,7 @@ impl Otc {
             }
         }
         let mut new_roots: Vec<Vec<Option<Word>>> =
-            gathered.into_iter().map(|(buffer, _)| buffer).collect();
+            (0..m).map(|t| (0..cycle).map(|q| folds.root(t, q)).collect()).collect();
         self.begin_fault_round();
         let mut attempts = 0;
         if self.has_fault_plan() {

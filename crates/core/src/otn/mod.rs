@@ -25,7 +25,7 @@ pub mod sort;
 
 use crate::checkpoint::Buffers;
 use crate::plane::{self, Plane};
-use crate::primitive::{self, Acc};
+use crate::primitive;
 use crate::resilience;
 use crate::runtime::{Kind, Runtime};
 use crate::word::Word;
@@ -71,7 +71,9 @@ impl Axis {
     }
 
     /// Grid (OTN) or cycle (OTC) coordinates of leaf `leaf` of tree
-    /// `tree` of this family.
+    /// `tree` of this family. The map is its own inverse: `coords(i, j)`
+    /// is the `(tree, leaf)` that cell `(i, j)` sits on.
+    #[inline]
     pub(crate) fn coords(self, tree: usize, leaf: usize) -> (usize, usize) {
         match self {
             Axis::Rows => (tree, leaf),
@@ -336,10 +338,13 @@ impl Otn {
     // registry-derived charge.
     // ------------------------------------------------------------------
 
-    /// The downward executor (`ROOTTOLEAF`): gathers every tree's selected
-    /// leaves as a selection mask (one bit per leaf), then walks the masks
-    /// in tree → leaf order, transiting and writing each delivered word,
-    /// then charges the registry cost.
+    /// The downward executor (`ROOTTOLEAF`): gathers the selected leaves
+    /// as a [`Selection`](plane::Selection), then transits and writes each
+    /// delivered word in memory order (row trees: tree by tree; column
+    /// trees: leaf row by leaf row, across the trees), then charges the
+    /// registry cost. Transits are keyed by site, not by visiting order,
+    /// so fault draws and `FaultStats` match any order; reach events keep
+    /// the paper's tree → leaf order in a pass of their own.
     fn tree_downward(
         &mut self,
         name: &str,
@@ -354,37 +359,35 @@ impl Otn {
             spec.name
         );
         self.begin_phase(spec.name);
-        let masks = {
-            let view = RegsView { regs: &self.regs, shape: [self.rows, self.cols] };
-            primitive::per_tree(self.parallel_policy(), self.trees(axis), |t| {
-                plane::select_mask(self.leaves(axis), |l| {
-                    let (i, j) = axis.coords(t, l);
-                    sel(i, j, &view) && !self.rt.is_dark(axis, t, l)
-                })
+        let (rows, cols) = (self.rows, self.cols);
+        let picked = {
+            let view = RegsView { regs: &self.regs, shape: [rows, cols] };
+            plane::Selection::gather(self.parallel_policy(), rows, cols, |i, j| {
+                let (t, l) = axis.coords(i, j);
+                sel(i, j, &view) && !self.rt.is_dark(axis, t, l)
             })
         };
         self.begin_fault_round();
-        let tracing = self.reach_tracing();
-        if let Some(rec) = self.rt.recorder.as_mut().filter(|_| tracing) {
+        let (trees, leaves) = (self.trees(axis), self.leaves(axis));
+        if let Some(rec) = self.rt.recorder.as_mut().filter(|rec| rec.reach_enabled()) {
             rec.reach_round_begin();
+            for (t, l) in picked.tree_order(axis, trees, leaves) {
+                let to = ReachCell::Reg { reg: dest.0 as u64, leaf: l as u64 };
+                rec.reach(t as u64, ReachCell::Root, to);
+            }
         }
         let mut attempts = 0;
         let roots = self.roots(axis).to_vec();
-        let plane = &mut self.regs[dest.0];
-        for (t, mask) in masks.iter().enumerate() {
-            for l in plane::mask_leaves(mask) {
-                let (v, att) = self.rt.word_transit(axis, t, l, roots[t]);
+        let (rt, plane) = (&mut self.rt, &mut self.regs[dest.0]);
+        for i in 0..rows {
+            let (words, valid) = plane.run_mut(i * cols, (i + 1) * cols);
+            picked.for_each_in(i, 0..cols, |j| {
+                let (t, l) = axis.coords(i, j);
+                let (v, att) = rt.word_transit(axis, t, l, roots[t]);
                 attempts = attempts.max(att);
-                let (i, j) = axis.coords(t, l);
-                plane.set(i * self.cols + j, v);
-                if let Some(rec) = self.rt.recorder.as_mut().filter(|_| tracing) {
-                    rec.reach(
-                        t as u64,
-                        ReachCell::Root,
-                        ReachCell::Reg { reg: dest.0 as u64, leaf: l as u64 },
-                    );
-                }
-            }
+                words[j] = v.unwrap_or(0);
+                valid[j] = v.is_some();
+            });
         }
         self.charge_primitive(spec, axis, 1, attempts);
         self.end_phase();
@@ -392,8 +395,15 @@ impl Otn {
 
     /// The upward executor (`LEAFTOROOT` and the aggregates): folds each
     /// tree's selected leaves through `spec`'s combine [`Monoid`]
-    /// (`crate::primitive::Monoid`), then transits each root word in tree
-    /// order and charges the registry cost.
+    /// (`crate::primitive::Monoid`): gathers the selected leaves as a
+    /// [`Selection`](plane::Selection), folds them in one memory-order
+    /// sweep ([`primitive::fold_trees`]), then transits each root word in
+    /// tree order and charges the registry cost.
+    ///
+    /// # Panics
+    ///
+    /// Without a fault plan, panics on `First` contention, naming the
+    /// lowest contended tree.
     fn tree_upward(
         &mut self,
         name: &str,
@@ -413,43 +423,33 @@ impl Otn {
             spec.name
         );
         self.begin_phase(spec.name);
-        let (trees, leaves) = (self.trees(axis), self.leaves(axis));
-        let degraded = self.has_fault_plan();
-        let tracing = self.reach_tracing();
-        let gathered: Vec<(Option<Word>, Vec<usize>)> = {
-            let view = RegsView { regs: &self.regs, shape: [self.rows, self.cols] };
-            primitive::per_tree(self.parallel_policy(), trees, |t| {
-                let mut acc = Acc::new(monoid);
-                // Contributor leaves are only collected under reach
-                // tracing; the Vec stays empty (no allocation) otherwise.
-                let mut contributors = Vec::new();
-                for l in 0..leaves {
-                    let (i, j) = axis.coords(t, l);
-                    if sel(i, j, &view) && !self.rt.is_dark(axis, t, l) {
-                        if tracing {
-                            contributors.push(l);
-                        }
-                        // On First contention under faults, the fold keeps
-                        // the first word (corrupted ranks legitimately
-                        // collide); in a healthy net it is an invariant
-                        // violation.
-                        acc.fold(view.get(src, i, j), || {
-                            assert!(
-                                degraded,
-                                "{} contention: tree {t} of {axis:?} selected twice \
-                                 (invariant: the Selector specifies one BP per tree)",
-                                spec.name
-                            );
-                        });
-                    }
-                }
-                (acc.finish(), contributors)
-            })
+        let (rows, cols, trees) = (self.rows, self.cols, self.trees(axis));
+        let folds = {
+            let view = RegsView { regs: &self.regs, shape: [rows, cols] };
+            let policy = self.parallel_policy();
+            let picked = plane::Selection::gather(policy, rows, cols, |i, j| {
+                let (t, l) = axis.coords(i, j);
+                sel(i, j, &view) && !self.rt.is_dark(axis, t, l)
+            });
+            let (tracing, words) = (self.reach_tracing(), &self.regs[src.0]);
+            let shape = [rows, cols, 1];
+            primitive::fold_trees(policy, axis, &picked, shape, monoid, tracing, |at| words.get(at))
         };
-        if let Some(rec) = self.rt.recorder.as_mut().filter(|_| tracing) {
+        // On First contention under faults, the fold keeps the first word
+        // (corrupted ranks legitimately collide); in a healthy net it is an
+        // invariant violation.
+        if let Some((t, _)) = folds.first_contended() {
+            assert!(
+                self.has_fault_plan(),
+                "{} contention: tree {t} of {axis:?} selected twice \
+                 (invariant: the Selector specifies one BP per tree)",
+                spec.name
+            );
+        }
+        if let Some(rec) = self.rt.recorder.as_mut().filter(|rec| rec.reach_enabled()) {
             rec.reach_round_begin();
-            for (t, (_, contributors)) in gathered.iter().enumerate() {
-                for &l in contributors {
+            for t in 0..trees {
+                for l in folds.contributors(t) {
                     rec.reach(
                         t as u64,
                         ReachCell::Reg { reg: src.0 as u64, leaf: l as u64 },
@@ -458,13 +458,13 @@ impl Otn {
                 }
             }
         }
-        let mut new_roots: Vec<Option<Word>> = gathered.into_iter().map(|(v, _)| v).collect();
         self.begin_fault_round();
         let mut attempts = 0;
-        for (t, root) in new_roots.iter_mut().enumerate() {
-            let (v, att) = self.word_transit(axis, t, resilience::TREE_SITE, *root);
+        let mut new_roots = Vec::with_capacity(trees);
+        for t in 0..trees {
+            let (v, att) = self.word_transit(axis, t, resilience::TREE_SITE, folds.root(t, 0));
             attempts = attempts.max(att);
-            *root = v;
+            new_roots.push(v);
         }
         *self.roots_mut(axis) = new_roots;
         self.charge_primitive(spec, axis, 1, attempts);

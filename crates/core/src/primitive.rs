@@ -25,14 +25,18 @@
 //!   enumerate the table instead of hand-written lists.
 //!
 //! The table also makes per-tree data independence explicit, which is what
-//! [`ParallelPolicy::Threads`] exploits: the read-only selector gather of a
-//! primitive fans out over scoped threads, one chunk of trees per worker,
-//! while every write, fault transit and clock charge stays in sequential
-//! tree order — so the parallel run is bit- and clock-identical to the
-//! sequential one by construction (and property tests assert it).
+//! [`ParallelPolicy::Threads`] exploits: the read-only selector gather and
+//! the upward folds of a primitive fan out over scoped threads, one block
+//! of trees (or plane rows) per worker, while every write, fault transit
+//! and clock charge stays on the calling thread in one fixed order — so
+//! the parallel run is bit- and clock-identical to the sequential one by
+//! construction (and property tests assert it).
 
+use crate::otn::Axis;
+use crate::plane::Selection;
 use crate::Word;
 use orthotrees_vlsi::CostKind;
+use std::ops::Range;
 
 /// Which network family implements a primitive.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -368,61 +372,178 @@ pub fn spec_for(name: &str) -> &'static PrimitiveSpec {
     lookup(name).unwrap_or_else(|| panic!("unknown primitive {name:?}: not in the registry"))
 }
 
-/// How a network executes the per-tree independent portions of a primitive
-/// (the read-only selector gather). Writes, fault transits and clock
-/// charges always run in sequential tree order, so both policies are bit-
-/// and clock-identical — asserted by property tests.
+/// How a network executes the read-only portions of a primitive (the
+/// selector gather and the upward folds). Writes, fault transits and clock
+/// charges always run on the calling thread in one fixed order, so both
+/// policies are bit- and clock-identical — asserted by property tests and
+/// the golden fixtures.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum ParallelPolicy {
-    /// Gather tree by tree on the calling thread (the default).
+    /// Gather and fold on the calling thread (the default).
     #[default]
     Sequential,
-    /// Fan the gather out over scoped threads (`std::thread::scope`), one
-    /// chunk of trees per worker, up to the machine's available
-    /// parallelism. Only engages when a primitive spans at least two trees.
+    /// Fan the gather and the folds out over scoped threads
+    /// (`std::thread::scope`), one contiguous block of trees (or plane
+    /// rows) per worker, up to the machine's available parallelism. Only
+    /// engages when a primitive spans at least two trees.
     Threads,
 }
 
-/// Runs `f(t)` for every tree `t in 0..trees` and collects the results in
-/// tree order, fanning out over scoped threads under
-/// [`ParallelPolicy::Threads`]. A panic in a worker (e.g. a contention
-/// assertion) is re-raised on the caller with its original payload.
+/// Splits `0..n` — the trees of a family, or the rows of a plane — into
+/// contiguous blocks, runs `f` on each and concatenates the results in
+/// block order. [`ParallelPolicy::Sequential`] is the single block `0..n`;
+/// [`ParallelPolicy::Threads`] hands one block to each scoped worker. A
+/// panic in a worker is re-raised on the caller with its original payload.
 pub(crate) fn per_tree<T: Send>(
     policy: ParallelPolicy,
-    trees: usize,
-    f: impl Fn(usize) -> T + Sync,
+    n: usize,
+    f: impl Fn(Range<usize>) -> Vec<T> + Sync,
 ) -> Vec<T> {
     let workers = match policy {
         ParallelPolicy::Sequential => 1,
         ParallelPolicy::Threads => std::thread::available_parallelism()
             .map(std::num::NonZeroUsize::get)
             .unwrap_or(1)
-            .min(trees),
+            .min(n),
     };
     if workers <= 1 {
-        return (0..trees).map(f).collect();
+        return f(0..n);
     }
-    let chunk = trees.div_ceil(workers);
+    let chunk = n.div_ceil(workers);
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
             .map(|w| {
-                let lo = w * chunk;
-                let hi = ((w + 1) * chunk).min(trees);
+                let block = w * chunk..((w + 1) * chunk).min(n);
                 let f = &f;
-                scope.spawn(move || (lo..hi).map(f).collect::<Vec<T>>())
+                scope.spawn(move || f(block))
             })
             .collect();
-        let mut out = Vec::with_capacity(trees);
+        let mut out = Vec::with_capacity(n);
         for h in handles {
             match h.join() {
                 Ok(part) => out.extend(part),
-                // Preserve the worker's panic payload (contention
-                // assertions must surface with their original message).
+                // Preserve the worker's panic payload (a panicking
+                // selector must surface with its original message).
                 Err(payload) => std::panic::resume_unwind(payload),
             }
         }
         out
     })
+}
+
+/// The upward folds of a run of consecutive trees: one [`Acc`] per tree
+/// and stream position (a single position on the OTN), each tree's
+/// lowest position that saw [`Monoid::First`] contention, and — under
+/// reach tracing only — each tree's contributing leaves with the first
+/// position each was selected at. A few flat vectors per primitive, not
+/// one allocation per tree.
+#[derive(Debug)]
+pub(crate) struct Folds {
+    positions: usize,
+    accs: Vec<Acc>,
+    contended: Vec<Option<usize>>,
+    contributors: Option<Vec<Vec<(usize, usize)>>>,
+}
+
+impl Folds {
+    /// Identity folds for `trees` trees of `positions` stream positions.
+    fn new(monoid: Monoid, positions: usize, trees: usize, tracing: bool) -> Self {
+        Folds {
+            positions,
+            accs: vec![Acc::new(monoid); trees * positions],
+            contended: vec![None; trees],
+            contributors: tracing.then(|| vec![Vec::new(); trees]),
+        }
+    }
+
+    /// Folds the word `leaf` of tree `tree` holds at stream position `q`.
+    /// Each leaf's positions must arrive together and in ascending order.
+    #[inline]
+    fn fold(&mut self, tree: usize, q: usize, leaf: usize, word: Option<Word>) {
+        if let Some(all) = &mut self.contributors {
+            let mine = &mut all[tree];
+            if mine.last().map(|&(_, l)| l) != Some(leaf) {
+                mine.push((q, leaf));
+            }
+        }
+        let contended = &mut self.contended[tree];
+        self.accs[tree * self.positions + q]
+            .fold(word, || *contended = Some(contended.map_or(q, |c| c.min(q))));
+    }
+
+    /// Appends the folds of the trees that follow this run.
+    fn append(&mut self, mut next: Folds) {
+        self.accs.append(&mut next.accs);
+        self.contended.append(&mut next.contended);
+        if let (Some(mine), Some(theirs)) = (&mut self.contributors, &mut next.contributors) {
+            mine.append(theirs);
+        }
+    }
+
+    /// The folded root word of tree `tree` at stream position `q`.
+    pub(crate) fn root(&self, tree: usize, q: usize) -> Option<Word> {
+        self.accs[tree * self.positions + q].finish()
+    }
+
+    /// The lowest contended tree and its lowest contended position.
+    pub(crate) fn first_contended(&self) -> Option<(usize, usize)> {
+        self.contended.iter().enumerate().find_map(|(t, q)| Some((t, (*q)?)))
+    }
+
+    /// Tree `tree`'s contributing leaves in the paper's reach order: by
+    /// the first position each was selected at, then by leaf (empty
+    /// unless traced).
+    pub(crate) fn contributors(&self, tree: usize) -> Vec<usize> {
+        let mut order = self.contributors.as_ref().map_or_else(Vec::new, |all| all[tree].clone());
+        order.sort_by_key(|&(q, _)| q);
+        order.into_iter().map(|(_, leaf)| leaf).collect()
+    }
+}
+
+/// Folds every tree of `axis` over the cells `picked` selects through
+/// `monoid`. The grid has `rows × cols` leaf cells (OTN BPs, OTC cycles)
+/// of `positions` stream positions each (a power of two): selection
+/// column `j·positions + q` is position `q` of cell `(i, j)`, and `read`
+/// gets its flat plane index `(i·cols + j)·positions + q`. Trees are
+/// folded in contiguous blocks, one per worker under
+/// [`ParallelPolicy::Threads`], each block sweeping its cells in memory
+/// order — row trees their rows, column trees their slice of every row —
+/// so every tree still sees its leaves in ascending order. Contributors
+/// are recorded iff `tracing`.
+pub(crate) fn fold_trees(
+    policy: ParallelPolicy,
+    axis: Axis,
+    picked: &Selection,
+    [rows, cols, positions]: [usize; 3],
+    monoid: Monoid,
+    tracing: bool,
+    read: impl Fn(usize) -> Option<Word> + Sync,
+) -> Folds {
+    debug_assert!(positions.is_power_of_two());
+    let (shift, width) = (positions.trailing_zeros(), cols * positions);
+    let trees = match axis {
+        Axis::Rows => rows,
+        Axis::Cols => cols,
+    };
+    let blocks = per_tree(policy, trees, |block| {
+        let mut folds = Folds::new(monoid, positions, block.len(), tracing);
+        let (tree_rows, cells) = match axis {
+            Axis::Rows => (block.clone(), 0..width),
+            Axis::Cols => (0..rows, block.start * positions..block.end * positions),
+        };
+        for i in tree_rows {
+            picked.for_each_in(i, cells.clone(), |c| {
+                let (j, q) = (c >> shift, c & (positions - 1));
+                let (t, l) = axis.coords(i, j);
+                folds.fold(t - block.start, q, l, read(i * width + c));
+            });
+        }
+        vec![folds]
+    });
+    let mut blocks = blocks.into_iter();
+    let mut folds = blocks.next().expect("per_tree runs at least one block");
+    blocks.for_each(|next| folds.append(next));
+    folds
 }
 
 /// The running state of one tree's (or cycle position's) combine fold —
@@ -621,7 +742,7 @@ mod tests {
     fn per_tree_orders_results_under_both_policies() {
         for policy in [ParallelPolicy::Sequential, ParallelPolicy::Threads] {
             for trees in [0usize, 1, 2, 7, 64] {
-                let got = per_tree(policy, trees, |t| t * t);
+                let got = per_tree(policy, trees, |block| block.map(|t| t * t).collect());
                 let want: Vec<usize> = (0..trees).map(|t| t * t).collect();
                 assert_eq!(got, want, "{policy:?} over {trees} trees");
             }
@@ -631,9 +752,9 @@ mod tests {
     #[test]
     #[should_panic(expected = "synthetic contention")]
     fn per_tree_reraises_worker_panics_verbatim() {
-        let _ = per_tree(ParallelPolicy::Threads, 8, |t| {
-            assert!(t != 5, "synthetic contention in tree {t}");
-            t
+        let _ = per_tree(ParallelPolicy::Threads, 8, |block| {
+            assert!(!block.contains(&5), "synthetic contention in block {block:?}");
+            vec![block.len()]
         });
     }
 }

@@ -55,7 +55,7 @@ pub struct Runtime {
     pub(crate) recorder: Option<Recorder>,
     /// Installed streaming telemetry bus; same contract as `recorder`.
     telemetry: Option<Telemetry>,
-    /// How the per-tree independent gather of each primitive executes.
+    /// How the read-only gather and folds of each primitive execute.
     parallel: ParallelPolicy,
 }
 
