@@ -11,11 +11,13 @@ cargo clippy --all-targets -- -D warnings
 # otherwise pass here and only fail at the next benchmark run. Builds it
 # and runs its error_rate self-test.
 cargo test --offline -q --manifest-path perfbench/Cargo.toml
-# Benchmark correctness smoke: two short perfbench runs whose problems are
-# checked against perfbench's own set-up references (sorted output, τ,
-# OpStats and, on the OTC, FaultStats). The last output line is the JSON
-# summary; any failed problem fails CI.
-for workload in otn-sort otc-sort-observed; do
+# Benchmark correctness smoke: short perfbench runs of every workload,
+# whose problems are checked against perfbench's own set-up references
+# (sorted output, τ, OpStats and, on the OTC, FaultStats; the engine
+# checkpoint's completion, delivered count and FaultStats; the
+# reproduction report and bench summary, byte for byte). The last output line is the JSON summary;
+# any failed problem fails CI.
+for workload in otn-sort otc-sort-observed engine-checkpoint paper-repro; do
   CARGO_TARGET_DIR=target/perfbench python3 perfbench/run.py \
       --workload "$workload" --seed 1 --seconds 2 --trace 0 \
     | tail -n 1 | grep -q '"failed":0[,}]' \

@@ -23,7 +23,7 @@
 use orthotrees::obs::causal::{CausalTrace, CriticalPath, SegmentKind};
 use orthotrees::obs::Recorder;
 use orthotrees::BitTime;
-use orthotrees_sim::experiments;
+use orthotrees_sim::{experiments, Instruments};
 use orthotrees_vlsi::{CostModel, SimError};
 use std::fmt::Write as _;
 
@@ -37,7 +37,9 @@ pub fn broadcast_critical_path(
     leaves: usize,
     m: &CostModel,
 ) -> Result<(BitTime, CausalTrace), SimError> {
-    experiments::broadcast_traced(leaves, m)
+    let traced = Instruments { causal: Some(CausalTrace::new()), ..Default::default() };
+    let (t, inst) = experiments::broadcast_completion_time(leaves, m, traced)?;
+    Ok((t, inst.causal.expect("causal trace was installed")))
 }
 
 /// Renders the word-level causal attribution table: one row per

@@ -21,7 +21,7 @@ use orthotrees::obs::Recorder;
 use orthotrees::otc::{self, Otc};
 use orthotrees::otn::{sort, Otn};
 use orthotrees::BitTime;
-use orthotrees_sim::experiments;
+use orthotrees_sim::{experiments, Instruments};
 use orthotrees_vlsi::{CostModel, SimError};
 use std::fmt::Write as _;
 
@@ -67,7 +67,9 @@ pub fn broadcast_link_profile(
     leaves: usize,
     m: &CostModel,
 ) -> Result<(BitTime, Recorder), SimError> {
-    experiments::broadcast_observed(leaves, m)
+    let recorded = Instruments { recorder: Some(Recorder::new()), ..Default::default() };
+    let (t, inst) = experiments::broadcast_completion_time(leaves, m, recorded)?;
+    Ok((t, inst.recorder.expect("recorder was installed")))
 }
 
 /// The registry classification of a span name for the phase table:

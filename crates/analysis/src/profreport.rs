@@ -8,8 +8,9 @@
 //!   re-bucket a recorded sort's causal segments into windows
 //!   ([`Profiler::from_recorder`]), so the wire/queue/compute mix is
 //!   visible *over time* rather than only in aggregate;
-//! * **bit level** — [`orthotrees_sim::experiments::broadcast_profiled`] runs the
-//!   discrete-event `ROOTTOLEAF` model with the engine profiler on:
+//! * **bit level** — [`orthotrees_sim::experiments::broadcast_completion_time`]
+//!   runs the discrete-event `ROOTTOLEAF` model with the engine recorder
+//!   and profiler installed:
 //!   events, calendar depth and link traffic per window, plus the
 //!   calendar-depth peak footprint the event-core overhaul must be
 //!   sized for.
@@ -21,7 +22,7 @@ use crate::obsreport::{otc_sort_observed, otn_sort_observed};
 use orthotrees::obs::profile::Profiler;
 use orthotrees::obs::Recorder;
 use orthotrees::otn::sort::SortOutcome;
-use orthotrees_sim::experiments;
+use orthotrees_sim::{experiments, Instruments};
 use orthotrees_vlsi::CostModel;
 use std::fmt::Write as _;
 
@@ -180,8 +181,15 @@ pub fn profile_report(sort_n: usize, seed: u64) -> String {
     out.push('\n');
 
     let m = CostModel::thompson(sort_n);
-    match experiments::broadcast_profiled(sort_n, &m) {
-        Ok((t, rec, prof)) => {
+    let profiled = Instruments {
+        recorder: Some(Recorder::new()),
+        profiler: Some(Profiler::new(16)),
+        ..Default::default()
+    };
+    match experiments::broadcast_completion_time(sort_n, &m, profiled) {
+        Ok((t, inst)) => {
+            let rec = inst.recorder.expect("recorder was installed");
+            let prof = inst.profiler.expect("profiler was installed");
             let _ = writeln!(
                 out,
                 "Engine window profile — bit-level ROOTTOLEAF over {sort_n} leaves \

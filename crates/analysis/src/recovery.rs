@@ -24,7 +24,7 @@ use orthotrees::checkpoint::{Checkpoint, WordSnapshot};
 use orthotrees::obs::Recorder;
 use orthotrees::otn::{self, Otn};
 use orthotrees::FaultPlan;
-use orthotrees_sim::{experiments, supervise_steps, RecoveryPolicy, RecoveryReport};
+use orthotrees_sim::{experiments, supervise_steps, Instruments, RecoveryPolicy, RecoveryReport};
 use orthotrees_vlsi::{CostModel, SimError};
 use std::fmt::Write as _;
 
@@ -59,11 +59,12 @@ pub fn engine_outage_recovery(
     let m = CostModel::thompson(leaves);
     let policy =
         RecoveryPolicy { max_attempts: 12, checkpoint_events: 32, min_checkpoint_events: 4 };
-    let (report, rec, sum) = experiments::supervised_sum_recovery(&values, &m, &policy)?;
+    let recorded = Instruments { recorder: Some(Recorder::new()), ..Default::default() };
+    let (report, inst, sum) = experiments::supervised_sum_recovery(&values, &m, &policy, recorded)?;
     if sum != values.iter().sum::<u64>() {
         return Err(SimError::NoCompletion { what: "recovered aggregate sum" });
     }
-    Ok((report, rec))
+    Ok((report, inst.recorder.expect("recorder was installed")))
 }
 
 /// Runs the word-level soak: `problems` seeded sorting problems of size

@@ -35,7 +35,7 @@ use orthotrees::otn::{self, Otn};
 use orthotrees::FaultPlan;
 use orthotrees_analysis::workloads;
 use orthotrees_sim::experiments::{self, ProbeKind};
-use orthotrees_sim::{CalendarKind, RecoveryPolicy};
+use orthotrees_sim::{CalendarKind, Instruments, RecoveryPolicy};
 use orthotrees_vlsi::CostModel;
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -256,6 +256,21 @@ fn word_sort_profiled(network: &str, n: usize, seed: u64, faulty: bool) -> (u64,
     (time, Profiler::from_recorder(&rec, Profiler::auto_width(time)))
 }
 
+/// The engine rows' instruments: a recorder plus a profiler with an
+/// initial window width of 16τ, coalescing as the run grows.
+fn profiled() -> Instruments {
+    Instruments {
+        recorder: Some(Recorder::new()),
+        profiler: Some(Profiler::new(16)),
+        ..Default::default()
+    }
+}
+
+/// The recorder and the profiler of a [`profiled`] bundle after its run.
+fn profiled_pair(inst: Instruments) -> (Recorder, Profiler) {
+    (inst.recorder.expect("recorder was installed"), inst.profiler.expect("profiler was installed"))
+}
+
 /// Builds the whole profile document for one preset: the word-level
 /// sorting matrix (clean + dense faults), the engine-level broadcast
 /// companions, and the supervised-recovery row.
@@ -277,7 +292,8 @@ pub fn profile_document(preset_name: &str, seed: u64) -> Json {
             }
         }
         let m = CostModel::thompson(n);
-        if let Ok((t, rec, prof)) = experiments::broadcast_profiled(n, &m) {
+        if let Ok((t, inst)) = experiments::broadcast_completion_time(n, &m, profiled()) {
+            let (rec, prof) = profiled_pair(inst);
             let cal = rec.calendar_depth();
             rows.push(profile_row(
                 "ROOTTOLEAF",
@@ -301,9 +317,10 @@ pub fn profile_document(preset_name: &str, seed: u64) -> Json {
     let m = CostModel::thompson(RECOVERY_LEAVES);
     let policy =
         RecoveryPolicy { max_attempts: 12, checkpoint_events: 32, min_checkpoint_events: 4 };
-    if let Ok((report, rec, prof, _)) =
-        experiments::supervised_sum_recovery_profiled(&values, &m, &policy)
+    if let Ok((report, inst, _)) =
+        experiments::supervised_sum_recovery(&values, &m, &policy, profiled())
     {
+        let (rec, prof) = profiled_pair(inst);
         let cal = rec.calendar_depth();
         rows.push(profile_row(
             "SUM-RECOVERY",

@@ -79,6 +79,112 @@ pub enum RunStatus {
     Paused(BitTime),
 }
 
+/// The engine's optional observers, installed as one bundle with
+/// [`Engine::with_instruments`].
+///
+/// Every field is `None` by default (a *bare* bundle). An engine without
+/// instruments takes one branch per hook site of its run loop, and no
+/// instrument ever changes a simulated bit, time or output (bit-identity,
+/// enforced by the engine tests and the calendar, profile and telemetry
+/// suites).
+#[derive(Debug, Default)]
+pub struct Instruments {
+    /// Per-node activation counts, per-link traffic/queueing metrics and
+    /// the event-calendar depth histogram.
+    pub recorder: Option<Recorder>,
+    /// One [`Hop`] per scheduled bit — which link, when it was presented /
+    /// entered / arrived, and which delivered message triggered the
+    /// emission — so [`CausalTrace::critical_path`] can explain the
+    /// completion time hop by hop.
+    pub causal: Option<CausalTrace>,
+    /// Buckets every delivery (with its calendar depth), link-entrance
+    /// bit, emission hold and injected fault into fixed-width time
+    /// windows, and captures the engine-structure footprint at the
+    /// calendar-depth peak.
+    pub profiler: Option<Profiler>,
+    /// Counts every delivery and link-entrance bit, meters queue wait,
+    /// feeds the calendar-depth quantile sketch and emits periodic counter
+    /// snapshots.
+    pub telemetry: Option<Telemetry>,
+    /// Keeps a bounded ring of recent deliveries; the engine dumps an
+    /// `orthotrees-flight/v1` post-mortem into it before returning any
+    /// [`SimError`].
+    pub flight: Option<FlightRecorder>,
+}
+
+impl Instruments {
+    fn is_bare(&self) -> bool {
+        self.recorder.is_none()
+            && self.causal.is_none()
+            && self.profiler.is_none()
+            && self.telemetry.is_none()
+            && self.flight.is_none()
+    }
+
+    /// A bit entered link `link` at `enter` after queueing `waited` τ.
+    fn link_bit(&mut self, link: usize, enter: BitTime, waited: u64) {
+        if let Some(rec) = &mut self.recorder {
+            rec.link_bit(link, enter, waited);
+        }
+        if let Some(prof) = &mut self.profiler {
+            prof.link_bit(enter, link, waited);
+        }
+        if let Some(tel) = &mut self.telemetry {
+            tel.count("engine.link_bits", 1);
+            tel.count("engine.queue_wait_tau", waited);
+        }
+    }
+
+    /// The fault plan hit message `msg` (due at `arrive`); a dropped bit
+    /// never arrives.
+    fn fault(&mut self, arrive: BitTime, msg: MsgId, dropped: bool) {
+        if let Some(prof) = &mut self.profiler {
+            prof.fault_at(arrive);
+        }
+        if let Some(tel) = &mut self.telemetry {
+            tel.count("engine.faults_injected", 1);
+        }
+        if dropped {
+            if let Some(tr) = &mut self.causal {
+                tr.mark_undelivered(msg);
+            }
+        }
+    }
+
+    /// Event `ev` fired with `depth` events on the calendar (itself
+    /// included) as the engine's `delivered`-th delivery.
+    fn delivery(&mut self, ev: &Pending, depth: u64, delivered: u64, links: &[Link]) {
+        if let Some(rec) = &mut self.recorder {
+            rec.calendar_sample(depth as usize);
+            rec.node_activated(ev.node.0);
+        }
+        if let Some(prof) = &mut self.profiler {
+            if prof.event_fired(ev.at, ev.node.0, depth) {
+                // New calendar-depth peak: capture the engine-structure
+                // footprint at this moment.
+                let busy = links.iter().filter(|l| l.free_at > ev.at).count() as u64;
+                prof.record_footprint(ev.at, depth, busy, delivered);
+            }
+        }
+        if let Some(fl) = &mut self.flight {
+            fl.record(FlightEvent {
+                seq: delivered,
+                at: ev.at,
+                node: ev.node.0,
+                port: ev.port.0,
+                value: ev.bit.value,
+                index: ev.bit.index,
+                depth,
+            });
+        }
+        if let Some(tel) = &mut self.telemetry {
+            tel.count("engine.delivered", 1);
+            tel.observe("engine.calendar_depth", depth);
+            tel.tick(ev.at);
+        }
+    }
+}
+
 /// The simulation engine: nodes, links, a pending-event calendar.
 pub struct Engine {
     pub(crate) nodes: Vec<Box<dyn NodeBehavior>>,
@@ -101,26 +207,10 @@ pub struct Engine {
     fault_plan: Option<FaultPlan>,
     budget: RunBudget,
     pub(crate) fault_stats: FaultStats,
-    /// Installed observability hook, if any. `None` is the fast path: the
-    /// run loop touches no recording code at all (same contract as
-    /// `fault_plan`), and recording never changes a simulated bit or time.
-    recorder: Option<Recorder>,
-    /// Installed causal trace, if any. Same contract as `recorder`:
-    /// `None` is the fast path, and tracing never changes a simulated bit
-    /// or time.
-    causal: Option<CausalTrace>,
-    /// Installed windowed profiler, if any. Same contract as `recorder`:
-    /// `None` is the fast path, and profiling never changes a simulated
-    /// bit or time.
-    profiler: Option<Profiler>,
-    /// Installed streaming telemetry bus, if any. Same contract as
-    /// `recorder`: `None` is the fast path, and metering never changes a
-    /// simulated bit or time.
-    telemetry: Option<Telemetry>,
-    /// Installed crash flight recorder, if any. Same contract as
-    /// `recorder`; additionally, the engine dumps a post-mortem document
-    /// into it before returning any [`SimError`].
-    flight: Option<FlightRecorder>,
+    /// Installed instrument bundle, if any. `None` is the fast path: each
+    /// hook site in the run loop is one branch, and instrumentation never
+    /// changes a simulated bit or time. A bare bundle is never stored.
+    instruments: Option<Box<Instruments>>,
     /// Reverse the tie-break among same-timestamp events (verification
     /// only). Correct networks must produce identical results either way.
     pub(crate) lifo_ties: bool,
@@ -151,11 +241,7 @@ impl Engine {
             fault_plan: None,
             budget: RunBudget::default(),
             fault_stats: FaultStats::default(),
-            recorder: None,
-            causal: None,
-            profiler: None,
-            telemetry: None,
-            flight: None,
+            instruments: None,
             lifo_ties: false,
             started: false,
             delivered: 0,
@@ -232,121 +318,31 @@ impl Engine {
         &self.fault_stats
     }
 
-    /// Installs an observability [`Recorder`]. The run then fills its
-    /// per-node activation counts, per-link traffic/queueing metrics and
-    /// event-calendar depth histogram; simulated bits, times and outputs
-    /// are unchanged (bit-identity, enforced by tests).
-    pub fn with_recorder(mut self, recorder: Recorder) -> Self {
-        self.recorder = Some(recorder);
+    /// Installs an instrument bundle, replacing any installed one. A bare
+    /// bundle ([`Instruments::default`]) leaves the engine uninstrumented.
+    /// Simulated bits, times and outputs are unchanged whatever is
+    /// installed (bit-identity, enforced by tests).
+    pub fn with_instruments(mut self, instruments: Instruments) -> Self {
+        self.instruments = (!instruments.is_bare()).then(|| Box::new(instruments));
         self
     }
 
-    /// The installed recorder, if any.
-    pub fn recorder(&self) -> Option<&Recorder> {
-        self.recorder.as_ref()
+    /// The installed instruments, if any.
+    pub fn instruments(&self) -> Option<&Instruments> {
+        self.instruments.as_deref()
     }
 
-    /// Removes and returns the installed recorder (export after a run).
-    pub fn take_recorder(&mut self) -> Option<Recorder> {
-        self.recorder.take()
+    /// Mutable access to the installed instruments (the recovery
+    /// supervisor marks `RECOVERY` spans, notes checkpoints and counts
+    /// rollbacks through this).
+    pub fn instruments_mut(&mut self) -> Option<&mut Instruments> {
+        self.instruments.as_deref_mut()
     }
 
-    /// Installs a causal trace: the run then records one
-    /// [`Hop`](orthotrees_obs::causal::Hop) per scheduled bit — which link,
-    /// when it was presented / entered / arrived, and which delivered
-    /// message triggered the emission — so
-    /// [`CausalTrace::critical_path`] can explain the completion time
-    /// hop by hop. Simulated bits, times and outputs are unchanged
-    /// (bit-identity, enforced by tests).
-    pub fn with_causal_trace(mut self) -> Self {
-        self.causal = Some(CausalTrace::new());
-        self
-    }
-
-    /// The installed causal trace, if any.
-    pub fn causal_trace(&self) -> Option<&CausalTrace> {
-        self.causal.as_ref()
-    }
-
-    /// Removes and returns the installed causal trace (analysis after a
-    /// run).
-    pub fn take_causal_trace(&mut self) -> Option<CausalTrace> {
-        self.causal.take()
-    }
-
-    /// Installs a windowed [`Profiler`]: the run then buckets every
-    /// delivery (with its calendar depth), link-entrance bit, emission
-    /// hold and injected fault into fixed-width time windows, and captures
-    /// the engine-structure footprint at the calendar-depth peak.
-    /// Simulated bits, times and outputs are unchanged (bit-identity,
-    /// enforced by the profile proptest suite).
-    pub fn with_profiler(mut self, profiler: Profiler) -> Self {
-        self.profiler = Some(profiler);
-        self
-    }
-
-    /// The installed profiler, if any.
-    pub fn profiler(&self) -> Option<&Profiler> {
-        self.profiler.as_ref()
-    }
-
-    /// Removes and returns the installed profiler (export after a run).
-    pub fn take_profiler(&mut self) -> Option<Profiler> {
-        self.profiler.take()
-    }
-
-    /// Installs a streaming [`Telemetry`] bus: the run then counts every
-    /// delivery and link-entrance bit, meters queue wait, feeds the
-    /// calendar-depth quantile sketch and emits periodic counter
-    /// snapshots. Simulated bits, times and outputs are unchanged
-    /// (bit-identity, enforced by the telemetry proptest suite).
-    pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
-        self.telemetry = Some(telemetry);
-        self
-    }
-
-    /// The installed telemetry bus, if any.
-    pub fn telemetry(&self) -> Option<&Telemetry> {
-        self.telemetry.as_ref()
-    }
-
-    /// Mutable access to the installed telemetry bus (callers fold their
-    /// own domain counters into the engine's export through this).
-    pub fn telemetry_mut(&mut self) -> Option<&mut Telemetry> {
-        self.telemetry.as_mut()
-    }
-
-    /// Removes and returns the installed telemetry bus (export after a run).
-    pub fn take_telemetry(&mut self) -> Option<Telemetry> {
-        self.telemetry.take()
-    }
-
-    /// Installs a crash [`FlightRecorder`]: the run then keeps a bounded
-    /// ring of recent deliveries and dumps an `orthotrees-flight/v1`
-    /// post-mortem document before returning any [`SimError`]. Simulated
-    /// bits, times and outputs are unchanged (bit-identity, enforced by
-    /// the telemetry proptest suite).
-    pub fn with_flight_recorder(mut self, flight: FlightRecorder) -> Self {
-        self.flight = Some(flight);
-        self
-    }
-
-    /// The installed flight recorder, if any.
-    pub fn flight_recorder(&self) -> Option<&FlightRecorder> {
-        self.flight.as_ref()
-    }
-
-    /// Mutable access to the installed flight recorder (the recovery
-    /// supervisor notes checkpoints and dumps rollback post-mortems
-    /// through this).
-    pub fn flight_recorder_mut(&mut self) -> Option<&mut FlightRecorder> {
-        self.flight.as_mut()
-    }
-
-    /// Removes and returns the installed flight recorder (export after a
-    /// run).
-    pub fn take_flight_recorder(&mut self) -> Option<FlightRecorder> {
-        self.flight.take()
+    /// Removes and returns the installed instruments (export after a run);
+    /// a bare bundle if none were installed.
+    pub fn take_instruments(&mut self) -> Instruments {
+        self.instruments.take().map(|b| *b).unwrap_or_default()
     }
 
     /// Adds a node, returning its id.
@@ -429,7 +425,7 @@ impl Engine {
             let Some(links) = self.routes[from.0].get(port.0) else {
                 continue; // emission on an unconnected port is dropped
             };
-            if let Some(prof) = &mut self.profiler {
+            if let Some(prof) = self.instruments.as_mut().and_then(|i| i.profiler.as_mut()) {
                 if hold > BitTime::ZERO && !links.is_empty() {
                     // A nonzero emission hold is the node's compute time,
                     // anchored at the triggering delivery.
@@ -437,45 +433,32 @@ impl Engine {
                 }
             }
             for &lid in links {
-                let mut enter = BitTime::ZERO;
-                let arrive = if self.recorder.is_none()
-                    && self.causal.is_none()
-                    && self.profiler.is_none()
-                    && self.telemetry.is_none()
-                {
-                    self.links[lid.0].admit(ready, self.delay)
-                } else {
-                    let link = &mut self.links[lid.0];
-                    let waited = link.free_at.get().saturating_sub(ready.get());
-                    let arrive = link.admit(ready, self.delay);
-                    // The entrance slot the bit actually took.
-                    enter = arrive - link.bit_delay(self.delay);
-                    if let Some(rec) = &mut self.recorder {
-                        rec.link_bit(lid.0, enter, waited);
+                let arrive = match self.instruments.as_deref_mut() {
+                    None => self.links[lid.0].admit(ready, self.delay),
+                    Some(inst) => {
+                        let link = &mut self.links[lid.0];
+                        let waited = link.free_at.get().saturating_sub(ready.get());
+                        let arrive = link.admit(ready, self.delay);
+                        // The entrance slot the bit actually took.
+                        let enter = arrive - link.bit_delay(self.delay);
+                        inst.link_bit(lid.0, enter, waited);
+                        if let Some(tr) = &mut inst.causal {
+                            tr.record_hop(Hop {
+                                msg: MsgId(self.seq + 1),
+                                pred: trigger,
+                                link: lid.0,
+                                link_len: link.length,
+                                trigger_at,
+                                ready,
+                                enter,
+                                arrive,
+                                delivered: true,
+                            });
+                        }
+                        arrive
                     }
-                    if let Some(prof) = &mut self.profiler {
-                        prof.link_bit(enter, lid.0, waited);
-                    }
-                    if let Some(tel) = &mut self.telemetry {
-                        tel.count("engine.link_bits", 1);
-                        tel.count("engine.queue_wait_tau", waited);
-                    }
-                    arrive
                 };
                 self.seq += 1;
-                if let Some(tr) = &mut self.causal {
-                    tr.record_hop(Hop {
-                        msg: MsgId(self.seq),
-                        pred: trigger,
-                        link: lid.0,
-                        link_len: self.links[lid.0].length,
-                        trigger_at,
-                        ready,
-                        enter,
-                        arrive,
-                        delivered: true,
-                    });
-                }
                 let mut bit = bit;
                 match self.fault_plan.as_ref().and_then(|p| {
                     if p.affects_links() {
@@ -488,11 +471,9 @@ impl Engine {
                     Some(kind) => {
                         self.fault_stats.injected += 1;
                         self.fault_stats.faulty_bits += 1;
-                        if let Some(prof) = &mut self.profiler {
-                            prof.fault_at(arrive);
-                        }
-                        if let Some(tel) = &mut self.telemetry {
-                            tel.count("engine.faults_injected", 1);
+                        let dropped = kind == LinkFaultKind::Drop;
+                        if let Some(inst) = &mut self.instruments {
+                            inst.fault(arrive, MsgId(self.seq), dropped);
                         }
                         match kind {
                             LinkFaultKind::StuckAtZero => bit.value = false,
@@ -500,12 +481,7 @@ impl Engine {
                             LinkFaultKind::Flip => bit.value = !bit.value,
                             // The wire slot is consumed (admit above) but
                             // the bit never arrives.
-                            LinkFaultKind::Drop => {
-                                if let Some(tr) = &mut self.causal {
-                                    tr.mark_undelivered(MsgId(self.seq));
-                                }
-                                continue;
-                            }
+                            LinkFaultKind::Drop => continue,
                         }
                     }
                 }
@@ -602,42 +578,16 @@ impl Engine {
             if let Some(plan) = &self.fault_plan {
                 if plan.affects_nodes() && !plan.node_alive(ev.node, ev.at) {
                     self.fault_stats.suppressed += 1;
-                    if let Some(tr) = &mut self.causal {
+                    if let Some(tr) = self.instruments.as_mut().and_then(|i| i.causal.as_mut()) {
                         tr.mark_undelivered(MsgId(ev.msg));
                     }
                     continue;
                 }
             }
-            if let Some(rec) = &mut self.recorder {
-                // Depth of the calendar when this event fired (itself
-                // included), and the receiving node's activation.
-                rec.calendar_sample(self.depth + 1);
-                rec.node_activated(ev.node.0);
-            }
-            if let Some(prof) = &mut self.profiler {
-                let depth = (self.depth + 1) as u64;
-                if prof.event_fired(ev.at, ev.node.0, depth) {
-                    // New calendar-depth peak: capture the engine-structure
-                    // footprint at this moment.
-                    let busy = self.links.iter().filter(|l| l.free_at > ev.at).count() as u64;
-                    prof.record_footprint(ev.at, depth, busy, self.delivered);
-                }
-            }
-            if let Some(fl) = &mut self.flight {
-                fl.record(FlightEvent {
-                    seq: self.delivered,
-                    at: ev.at,
-                    node: ev.node.0,
-                    port: ev.port.0,
-                    value: ev.bit.value,
-                    index: ev.bit.index,
-                    depth: (self.depth + 1) as u64,
-                });
-            }
-            if let Some(tel) = &mut self.telemetry {
-                tel.count("engine.delivered", 1);
-                tel.observe("engine.calendar_depth", (self.depth + 1) as u64);
-                tel.tick(ev.at);
+            if let Some(inst) = &mut self.instruments {
+                // Depth of the calendar when this event fired, itself
+                // included.
+                inst.delivery(&ev, (self.depth + 1) as u64, self.delivered, &self.links);
             }
             self.now = self.now.max(ev.at);
             if self.keep_log {
@@ -668,19 +618,13 @@ impl Engine {
         self.fault_plan = plan;
     }
 
-    /// Mutable access to the installed recorder (the recovery supervisor
-    /// marks replayed windows as `RECOVERY` spans through this).
-    pub fn recorder_mut(&mut self) -> Option<&mut Recorder> {
-        self.recorder.as_mut()
-    }
-
     /// Dumps a flight-recorder post-mortem for a failure the engine (or a
     /// supervisor driving it) is about to report. A no-op without an
     /// installed flight recorder; the document is retained in the
     /// recorder's [`post_mortems`](FlightRecorder::post_mortems) list.
     pub fn flight_post_mortem(&mut self, reason: &str, at: BitTime) {
         let stats = self.fault_stats;
-        if let Some(fl) = &mut self.flight {
+        if let Some(fl) = self.instruments.as_mut().and_then(|i| i.flight.as_mut()) {
             fl.dump(
                 reason,
                 at,
@@ -946,17 +890,22 @@ mod tests {
         }
     }
 
+    /// A bundle holding only a fresh recorder.
+    fn recorded() -> Instruments {
+        Instruments { recorder: Some(Recorder::new()), ..Default::default() }
+    }
+
     /// The fanout-through-repeater topology used by the recorder tests.
     fn instrumented_run(recorder: bool) -> (Vec<EventLog>, BitTime, Option<Recorder>) {
         let e = Engine::new(DelayModel::Logarithmic).with_event_log();
-        let mut e = if recorder { e.with_recorder(Recorder::new()) } else { e };
+        let mut e = if recorder { e.with_instruments(recorded()) } else { e };
         let src = e.add_node(Box::new(WordSource { width: 6 }));
         let mid = e.add_node(Box::new(Repeater));
         let dst = e.add_node(Box::new(Sink { expected: 6, got: 0, done: None }));
         e.connect(src, PortId(0), mid, PortId(0), 64);
         e.connect(mid, PortId(0), dst, PortId(0), 16);
         let end = e.run();
-        (e.log().to_vec(), end, e.take_recorder())
+        (e.log().to_vec(), end, e.take_instruments().recorder)
     }
 
     #[test]
@@ -990,14 +939,13 @@ mod tests {
 
     #[test]
     fn recorder_composes_with_fault_plans() {
-        let mut e =
-            Engine::new(DelayModel::Constant).with_event_log().with_recorder(Recorder::new());
+        let mut e = Engine::new(DelayModel::Constant).with_event_log().with_instruments(recorded());
         let src = e.add_node(Box::new(WordSource { width: 4 }));
         let dst = e.add_node(Box::new(Sink { expected: 4, got: 0, done: None }));
         let lid = e.connect(src, PortId(0), dst, PortId(0), 1);
         let mut e = e.with_fault_plan(FaultPlan::new(0).with_link_fault(lid, LinkFaultKind::Drop));
         e.run();
-        let rec = e.take_recorder().unwrap();
+        let rec = e.take_instruments().recorder.unwrap();
         // Dropped bits consumed their wire slot: carried but never delivered.
         assert_eq!(rec.links()[0].bits, 4);
         assert_eq!(rec.node_activations(), &[] as &[u64], "no delivery ever fired");
@@ -1011,19 +959,20 @@ mod tests {
     /// attached, so window sums can be checked against the recorder's
     /// independent aggregates.
     fn profiled_run() -> (Vec<EventLog>, BitTime, Recorder, Profiler) {
-        let mut e = Engine::new(DelayModel::Logarithmic)
-            .with_event_log()
-            .with_recorder(Recorder::new())
-            .with_profiler(Profiler::new(4));
+        let mut e =
+            Engine::new(DelayModel::Logarithmic).with_event_log().with_instruments(Instruments {
+                recorder: Some(Recorder::new()),
+                profiler: Some(Profiler::new(4)),
+                ..Default::default()
+            });
         let src = e.add_node(Box::new(WordSource { width: 6 }));
         let mid = e.add_node(Box::new(Repeater));
         let dst = e.add_node(Box::new(Sink { expected: 6, got: 0, done: None }));
         e.connect(src, PortId(0), mid, PortId(0), 64);
         e.connect(mid, PortId(0), dst, PortId(0), 16);
         let end = e.run();
-        let rec = e.take_recorder().unwrap();
-        let prof = e.take_profiler().unwrap();
-        (e.log().to_vec(), end, rec, prof)
+        let inst = e.take_instruments();
+        (e.log().to_vec(), end, inst.recorder.unwrap(), inst.profiler.unwrap())
     }
 
     #[test]
@@ -1068,13 +1017,16 @@ mod tests {
 
     #[test]
     fn profiler_counts_injected_faults_per_window() {
-        let mut e = Engine::new(DelayModel::Constant).with_profiler(Profiler::new(2));
+        let mut e = Engine::new(DelayModel::Constant).with_instruments(Instruments {
+            profiler: Some(Profiler::new(2)),
+            ..Default::default()
+        });
         let src = e.add_node(Box::new(WordSource { width: 4 }));
         let dst = e.add_node(Box::new(Sink { expected: 4, got: 0, done: None }));
         let lid = e.connect(src, PortId(0), dst, PortId(0), 1);
         let mut e = e.with_fault_plan(FaultPlan::new(0).with_link_fault(lid, LinkFaultKind::Flip));
         e.run();
-        let prof = e.take_profiler().unwrap();
+        let prof = e.take_instruments().profiler.unwrap();
         assert_eq!(prof.totals().faults, e.fault_stats().injected);
         assert!(prof.totals().faults > 0, "the always-on flip plan fired");
     }
@@ -1086,19 +1038,20 @@ mod tests {
     /// The recorder-test topology with a telemetry bus and a flight
     /// recorder attached.
     fn telemetered_run() -> (Vec<EventLog>, BitTime, Telemetry, FlightRecorder) {
-        let mut e = Engine::new(DelayModel::Logarithmic)
-            .with_event_log()
-            .with_telemetry(Telemetry::new(4))
-            .with_flight_recorder(FlightRecorder::new(8));
+        let mut e =
+            Engine::new(DelayModel::Logarithmic).with_event_log().with_instruments(Instruments {
+                telemetry: Some(Telemetry::new(4)),
+                flight: Some(FlightRecorder::new(8)),
+                ..Default::default()
+            });
         let src = e.add_node(Box::new(WordSource { width: 6 }));
         let mid = e.add_node(Box::new(Repeater));
         let dst = e.add_node(Box::new(Sink { expected: 6, got: 0, done: None }));
         e.connect(src, PortId(0), mid, PortId(0), 64);
         e.connect(mid, PortId(0), dst, PortId(0), 16);
         let end = e.run();
-        let tel = e.take_telemetry().unwrap();
-        let fl = e.take_flight_recorder().unwrap();
-        (e.log().to_vec(), end, tel, fl)
+        let inst = e.take_instruments();
+        (e.log().to_vec(), end, inst.telemetry.unwrap(), inst.flight.unwrap())
     }
 
     #[test]
@@ -1143,13 +1096,16 @@ mod tests {
     #[test]
     fn budget_trip_dumps_a_flight_post_mortem() {
         let mut e = Engine::new(DelayModel::Constant)
-            .with_flight_recorder(FlightRecorder::new(4))
+            .with_instruments(Instruments {
+                flight: Some(FlightRecorder::new(4)),
+                ..Default::default()
+            })
             .with_budget(RunBudget::events(5));
         let src = e.add_node(Box::new(WordSource { width: 8 }));
         let dst = e.add_node(Box::new(Sink { expected: 8, got: 0, done: None }));
         e.connect(src, PortId(0), dst, PortId(0), 1);
         assert!(matches!(e.try_run(), Err(SimError::BudgetExhausted { what: "events", .. })));
-        let fl = e.take_flight_recorder().unwrap();
+        let fl = e.take_instruments().flight.unwrap();
         let doc = &fl.post_mortems()[0];
         assert_eq!(
             doc.get("reason").and_then(Json::as_str),
@@ -1163,17 +1119,23 @@ mod tests {
     // Causal tracing.
     // --------------------------------------------------------------
 
+    /// A bundle holding only a fresh causal trace.
+    fn traced() -> Instruments {
+        Instruments { causal: Some(CausalTrace::new()), ..Default::default() }
+    }
+
     /// The recorder-test topology with a causal trace attached: 6-bit
     /// word, src → repeater → sink over 64λ (d=7) and 16λ (d=5) wires.
     fn traced_run() -> (Vec<EventLog>, BitTime, CausalTrace) {
-        let mut e = Engine::new(DelayModel::Logarithmic).with_event_log().with_causal_trace();
+        let mut e =
+            Engine::new(DelayModel::Logarithmic).with_event_log().with_instruments(traced());
         let src = e.add_node(Box::new(WordSource { width: 6 }));
         let mid = e.add_node(Box::new(Repeater));
         let dst = e.add_node(Box::new(Sink { expected: 6, got: 0, done: None }));
         e.connect(src, PortId(0), mid, PortId(0), 64);
         e.connect(mid, PortId(0), dst, PortId(0), 16);
         let end = e.run();
-        let trace = e.take_causal_trace().unwrap();
+        let trace = e.take_instruments().causal.unwrap();
         (e.log().to_vec(), end, trace)
     }
 
@@ -1220,20 +1182,20 @@ mod tests {
     #[test]
     fn dropped_and_suppressed_bits_never_complete_a_trace() {
         // Dropping link: every hop recorded, none delivered, no path.
-        let mut e = Engine::new(DelayModel::Constant).with_causal_trace();
+        let mut e = Engine::new(DelayModel::Constant).with_instruments(traced());
         let src = e.add_node(Box::new(WordSource { width: 4 }));
         let dst = e.add_node(Box::new(Sink { expected: 4, got: 0, done: None }));
         let lid = e.connect(src, PortId(0), dst, PortId(0), 1);
         let mut e = e.with_fault_plan(FaultPlan::new(0).with_link_fault(lid, LinkFaultKind::Drop));
         e.run();
-        let trace = e.take_causal_trace().unwrap();
+        let trace = e.take_instruments().causal.unwrap();
         assert_eq!(trace.len(), 4, "dropped bits still consumed wire slots");
         assert!(trace.hops().iter().all(|h| !h.delivered));
         assert!(trace.critical_path().is_none());
 
         // Dead node: deliveries to it are marked undelivered, so the path
         // ends at the last live delivery.
-        let mut e = Engine::new(DelayModel::Constant).with_causal_trace();
+        let mut e = Engine::new(DelayModel::Constant).with_instruments(traced());
         let src = e.add_node(Box::new(WordSource { width: 3 }));
         let mid = e.add_node(Box::new(Repeater));
         let dst = e.add_node(Box::new(Sink { expected: 3, got: 0, done: None }));
@@ -1242,7 +1204,7 @@ mod tests {
         let mut e = e.with_fault_plan(FaultPlan::new(0).with_dead_node(mid));
         let end = e.run();
         assert_eq!(end, BitTime::ZERO, "nothing was ever delivered");
-        let trace = e.take_causal_trace().unwrap();
+        let trace = e.take_instruments().causal.unwrap();
         assert!(trace.hops().iter().all(|h| !h.delivered));
         assert!(trace.critical_path().is_none());
     }
@@ -1252,8 +1214,7 @@ mod tests {
         let run = |lifo: bool| {
             let e = Engine::new(DelayModel::Logarithmic)
                 .with_event_log()
-                .with_recorder(Recorder::new())
-                .with_causal_trace();
+                .with_instruments(Instruments { causal: traced().causal, ..recorded() });
             let mut e = if lifo { e.with_lifo_ties() } else { e };
             let src = e.add_node(Box::new(WordSource { width: 6 }));
             let mid = e.add_node(Box::new(Repeater));
@@ -1261,7 +1222,7 @@ mod tests {
             e.connect(src, PortId(0), mid, PortId(0), 64);
             e.connect(mid, PortId(0), dst, PortId(0), 16);
             let end = e.run();
-            let trace = e.take_causal_trace().unwrap();
+            let trace = e.take_instruments().causal.unwrap();
             (end, trace.critical_path().unwrap().completion)
         };
         let (end_fifo, path_fifo) = run(false);

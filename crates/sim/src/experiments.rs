@@ -16,16 +16,11 @@
 //!   arrive first").
 
 use crate::calendar::CalendarKind;
-use crate::engine::{Engine, EventLog};
+use crate::engine::{Engine, Instruments};
 use crate::fault::FaultPlan;
 use crate::node::{Bit, NodeBehavior, NodeId, Outbox, PortId};
 use crate::recovery::{supervise_engine, RecoveryPolicy, RecoveryReport};
-use orthotrees_obs::causal::CausalTrace;
-use orthotrees_obs::flight::FlightRecorder;
 use orthotrees_obs::json::Json;
-use orthotrees_obs::profile::Profiler;
-use orthotrees_obs::telemetry::Telemetry;
-use orthotrees_obs::Recorder;
 use orthotrees_vlsi::{log2_ceil, BitTime, CostModel, SimError};
 
 // ----------------------------------------------------------------------
@@ -442,139 +437,97 @@ impl TreeIds {
     }
 }
 
-/// Simulates `ROOTTOLEAF` of one `m.word_bits`-bit word over a tree of
-/// `leaves` leaves at the model's pitch; returns the time the last leaf
-/// holds the complete word.
-///
-/// # Errors
-///
-/// Returns [`SimError`] if the run budget trips or the network goes
-/// quiescent before every leaf holds the word.
-///
-/// # Panics
-///
-/// Panics if `leaves` is not a power of two.
-pub fn broadcast_completion_time(leaves: usize, m: &CostModel) -> Result<BitTime, SimError> {
-    broadcast_run(leaves, m, false, false, false).map(|(t, _, _, _)| t)
-}
-
-/// [`broadcast_completion_time`] with a [`Recorder`] installed: returns
-/// the completion time plus the recorder holding the run's per-link
-/// traffic, per-node activation and calendar-depth tables.
-///
-/// # Errors
-///
-/// Returns [`SimError`] if the run budget trips or the network goes
-/// quiescent before every leaf holds the word.
-///
-/// # Panics
-///
-/// Panics if `leaves` is not a power of two.
-pub fn broadcast_observed(leaves: usize, m: &CostModel) -> Result<(BitTime, Recorder), SimError> {
-    broadcast_run(leaves, m, true, false, false)
-        .map(|(t, rec, _, _)| (t, rec.expect("recorder was installed for this run")))
-}
-
-/// [`broadcast_completion_time`] with both a [`Recorder`] and a windowed
-/// [`Profiler`] installed (initial window width 16τ, coalescing as the
-/// run grows): returns the completion time, the recorder's aggregate
-/// tables, and the profiler's time-resolved windows — the pair the
-/// PROF-001 tiling rule compares.
-///
-/// # Errors
-///
-/// Returns [`SimError`] if the run budget trips or the network goes
-/// quiescent before every leaf holds the word.
-///
-/// # Panics
-///
-/// Panics if `leaves` is not a power of two.
-pub fn broadcast_profiled(
-    leaves: usize,
-    m: &CostModel,
-) -> Result<(BitTime, Recorder, Profiler), SimError> {
-    broadcast_run(leaves, m, true, false, true).map(|(t, rec, _, prof)| {
-        (
-            t,
-            rec.expect("recorder was installed for this run"),
-            prof.expect("profiler was installed for this run"),
-        )
-    })
-}
-
-/// [`broadcast_completion_time`] with a [`CausalTrace`] installed: returns
-/// the completion time plus the trace whose
-/// [`critical_path`](CausalTrace::critical_path) explains it hop by hop.
-/// The path's wire-delay slices of positive length reproduce the per-level
-/// closed-form decomposition
-/// [`CostModel::level_bit_delays`](orthotrees_vlsi::CostModel::level_bit_delays)
-/// exactly — the `CRIT-001` rule of `orthotrees-verify` checks this.
-///
-/// For a 1-leaf tree the trace is empty (the broadcast is free).
-///
-/// # Errors
-///
-/// Returns [`SimError`] if the run budget trips or the network goes
-/// quiescent before every leaf holds the word.
-///
-/// # Panics
-///
-/// Panics if `leaves` is not a power of two.
-pub fn broadcast_traced(leaves: usize, m: &CostModel) -> Result<(BitTime, CausalTrace), SimError> {
-    broadcast_run(leaves, m, false, true, false)
-        .map(|(t, _, tr, _)| (t, tr.expect("causal trace was installed for this run")))
-}
-
-type BroadcastInstruments = (BitTime, Option<Recorder>, Option<CausalTrace>, Option<Profiler>);
-
-fn broadcast_run(
-    leaves: usize,
-    m: &CostModel,
-    record: bool,
-    traced: bool,
-    profiled: bool,
-) -> Result<BroadcastInstruments, SimError> {
+/// Builds the `ROOTTOLEAF` tree: a word source feeds the root through a
+/// zero-length wire, and every leaf is a sink. Node and link order: the
+/// tree (leaves first), then the source.
+fn build_broadcast(e: &mut Engine, leaves: usize, m: &CostModel) {
     let w = m.word_bits.max(1);
-    let mut e = Engine::new(m.delay);
-    if record {
-        e = e.with_recorder(Recorder::new());
-    }
-    if traced {
-        e = e.with_causal_trace();
-    }
-    if profiled {
-        e = e.with_profiler(Profiler::new(16));
-    }
     let ids = build_tree(
-        &mut e,
+        e,
         leaves,
         m.leaf_pitch(),
         true,
         &mut |_| Box::new(WordSink::new(w, true)),
         &mut |_| Box::new(DownRepeater),
     );
-    // Replace the root's behaviour by a source: easiest is to add a source
-    // node feeding the root's children directly when depth >= 1; for a
-    // 1-leaf tree the "broadcast" is free.
-    if leaves == 1 {
-        return Ok((BitTime::ZERO, e.take_recorder(), e.take_causal_trace(), e.take_profiler()));
-    }
     // The generic builder made the root a DownRepeater with no parent; feed
     // it through a zero-length wire from a dedicated source node.
-    let root = ids.root();
     let src = e.add_node(Box::new(WordSource {
         word: 0b1011,
         width: w,
         lsb_first: true,
         port: TO_PARENT,
     }));
-    e.connect(src, TO_PARENT, root, FROM_PARENT, 0);
+    e.connect(src, TO_PARENT, ids.root(), FROM_PARENT, 0);
+}
+
+/// Simulates `ROOTTOLEAF` of one `m.word_bits`-bit word over a tree of
+/// `leaves` leaves at the model's pitch with `instruments` installed;
+/// returns the time the last leaf holds the complete word, and the
+/// instruments after the run. A 1-leaf broadcast is free: it returns zero
+/// and the instruments untouched.
+///
+/// With a [`CausalTrace`](crate::CausalTrace) installed, the trace's
+/// critical path explains the completion hop by hop: its wire-delay slices
+/// of positive length reproduce the per-level closed-form decomposition
+/// [`CostModel::level_bit_delays`](orthotrees_vlsi::CostModel::level_bit_delays)
+/// exactly (the `CRIT-001` rule of `orthotrees-verify` checks this). A
+/// recorder plus a profiler is the pair the PROF-001 tiling rule compares.
+///
+/// # Errors
+///
+/// Returns [`SimError`] if the run budget trips or the network goes
+/// quiescent before every leaf holds the word.
+///
+/// # Panics
+///
+/// Panics if `leaves` is not a power of two.
+pub fn broadcast_completion_time(
+    leaves: usize,
+    m: &CostModel,
+    instruments: Instruments,
+) -> Result<(BitTime, Instruments), SimError> {
+    if leaves == 1 {
+        return Ok((BitTime::ZERO, instruments));
+    }
+    let mut e = Engine::new(m.delay).with_instruments(instruments);
+    build_broadcast(&mut e, leaves, m);
     // A zero-length wire still costs one τ (receiving latch); subtract it so
     // the measurement covers exactly the root-to-leaf path.
     let injected = m.delay.wire_bit_delay(0);
     e.try_run()?;
     let done = e.completion_time().ok_or(SimError::NoCompletion { what: "broadcast leaves" })?;
-    Ok((done - injected, e.take_recorder(), e.take_causal_trace(), e.take_profiler()))
+    Ok((done - injected, e.take_instruments()))
+}
+
+/// The word `LEAFTOROOT` sends, masked to the word width.
+fn send_word(w: u32) -> u64 {
+    0b1101u64 & ((1 << w) - 1).max(1)
+}
+
+/// Builds the `LEAFTOROOT` tree: leaf `source_leaf` sends one word up to a
+/// sink attached above the root through a zero-length wire; the other
+/// leaves idle. Returns the sink, the last node added.
+fn build_send(e: &mut Engine, leaves: usize, source_leaf: usize, m: &CostModel) -> NodeId {
+    let w = m.word_bits.max(1);
+    let word = send_word(w);
+    let ids = build_tree(
+        e,
+        leaves,
+        m.leaf_pitch(),
+        false,
+        &mut |i| {
+            if i == source_leaf {
+                Box::new(WordSource { word, width: w, lsb_first: true, port: TO_PARENT })
+            } else {
+                Box::new(IdleLeaf)
+            }
+        },
+        &mut |_| Box::new(UpRepeater),
+    );
+    let sink = e.add_node(Box::new(WordSink::new(w, true)));
+    e.connect(ids.root(), TO_PARENT, sink, FROM_LEFT, 0);
+    sink
 }
 
 /// Simulates `LEAFTOROOT` from leaf `source_leaf`; returns the time the root
@@ -594,30 +547,11 @@ pub fn send_completion_time(
     m: &CostModel,
 ) -> Result<(BitTime, u64), SimError> {
     assert!(source_leaf < leaves, "source leaf out of range");
-    let w = m.word_bits.max(1);
-    let word = 0b1101u64 & ((1 << w) - 1).max(1);
     if leaves == 1 {
-        return Ok((BitTime::ZERO, word));
+        return Ok((BitTime::ZERO, send_word(m.word_bits.max(1))));
     }
     let mut e = Engine::new(m.delay);
-    let ids = build_tree(
-        &mut e,
-        leaves,
-        m.leaf_pitch(),
-        false,
-        &mut |i| {
-            if i == source_leaf {
-                Box::new(WordSource { word, width: w, lsb_first: true, port: TO_PARENT })
-            } else {
-                Box::new(IdleLeaf)
-            }
-        },
-        &mut |_| Box::new(UpRepeater),
-    );
-    // Attach a sink above the root through a zero-length wire.
-    let root = ids.root();
-    let sink = e.add_node(Box::new(WordSink::new(w, true)));
-    e.connect(root, TO_PARENT, sink, FROM_LEFT, 0);
+    let sink = build_send(&mut e, leaves, source_leaf, m);
     let injected = m.delay.wire_bit_delay(0);
     e.try_run()?;
     let t = e.completion_time().ok_or(SimError::NoCompletion { what: "root sink" })? - injected;
@@ -713,7 +647,8 @@ fn run_aggregate(values: &[u64], m: &CostModel, sum: bool) -> Result<(BitTime, u
 }
 
 /// Runs `SUM-LEAFTOROOT` under the crash-recovery supervisor with a
-/// deterministic mid-run outage injected at the root sink.
+/// deterministic mid-run outage injected at the root sink, with
+/// `instruments` installed on the supervised engine.
 ///
 /// A clean run first establishes the completion time `T`; the supervised
 /// run then faces an outage over `[1, T)` that silently swallows every
@@ -722,9 +657,16 @@ fn run_aggregate(values: &[u64], m: &CostModel, sum: bool) -> Result<(BitTime, u
 /// back (escalating past checkpoints poisoned by mid-outage state, all
 /// the way to the pristine pre-start snapshot if needed), lets the heal
 /// hook clear the fault plan, and replays to completion. Returns the
-/// [`RecoveryReport`], the [`Recorder`] holding the run's `RECOVERY`
-/// spans, and the computed sum; the recovered completion time equals the
-/// clean run's (replay costs wall clock, not simulated time).
+/// [`RecoveryReport`], the instruments after the run, and the computed
+/// sum; the recovered completion time equals the clean run's (replay costs
+/// wall clock, not simulated time).
+///
+/// Every rollback is visible in the instruments: a `RECOVERY` span on the
+/// recorder, a `recovery.rollbacks` count on the recorder and the
+/// telemetry bus, and an `orthotrees-flight/v1` post-mortem in the flight
+/// recorder. Replayed events land in every instrument alike, so the
+/// PROF-001 tiling between a recorder and a profiler holds through
+/// recovery.
 ///
 /// # Errors
 ///
@@ -738,7 +680,8 @@ pub fn supervised_sum_recovery(
     values: &[u64],
     m: &CostModel,
     policy: &RecoveryPolicy,
-) -> Result<(RecoveryReport, Recorder, u64), SimError> {
+    instruments: Instruments,
+) -> Result<(RecoveryReport, Instruments, u64), SimError> {
     let (mut clean, _) = build_aggregate(values, m, true);
     clean.try_run()?;
     let t = clean.completion_time().ok_or(SimError::NoCompletion { what: "aggregate root" })?;
@@ -746,151 +689,50 @@ pub fn supervised_sum_recovery(
     let (chaotic, sink) = build_aggregate(values, m, true);
     let until = BitTime::new(t.get().max(2));
     let mut chaotic = chaotic
-        .with_recorder(Recorder::new())
+        .with_instruments(instruments)
         .with_fault_plan(FaultPlan::new(1).with_outage(sink, BitTime::new(1), until));
     let report = supervise_engine(&mut chaotic, policy, |e, _failures| e.set_fault_plan(None))?;
     let v = chaotic.node(sink).result().ok_or(SimError::NoCompletion { what: "aggregate word" })?;
-    let rec =
-        chaotic.take_recorder().ok_or(SimError::NoCompletion { what: "recovery recorder" })?;
-    Ok((report, rec, v))
+    Ok((report, chaotic.take_instruments(), v))
 }
 
-/// [`supervised_sum_recovery`] with a windowed [`Profiler`] riding along
-/// (initial window width 16τ): the outage-dense supervised run's profile
-/// row in `simprof`. Rollback replays land in the profiler exactly as
-/// they land in the recorder — both instruments see every delivered
-/// event, including replayed ones — so the PROF-001 tiling between the
-/// two holds through recovery.
-///
-/// # Errors
-///
-/// Returns [`SimError`] if the clean run fails, or the supervised run
-/// exhausts [`RecoveryPolicy::max_attempts`].
-///
-/// # Panics
-///
-/// Same conditions as [`sum_completion_time`].
-pub fn supervised_sum_recovery_profiled(
-    values: &[u64],
-    m: &CostModel,
-    policy: &RecoveryPolicy,
-) -> Result<(RecoveryReport, Recorder, Profiler, u64), SimError> {
-    let (mut clean, _) = build_aggregate(values, m, true);
-    clean.try_run()?;
-    let t = clean.completion_time().ok_or(SimError::NoCompletion { what: "aggregate root" })?;
-
-    let (chaotic, sink) = build_aggregate(values, m, true);
-    let until = BitTime::new(t.get().max(2));
-    let mut chaotic = chaotic
-        .with_recorder(Recorder::new())
-        .with_profiler(Profiler::new(16))
-        .with_fault_plan(FaultPlan::new(1).with_outage(sink, BitTime::new(1), until));
-    let report = supervise_engine(&mut chaotic, policy, |e, _failures| e.set_fault_plan(None))?;
-    let v = chaotic.node(sink).result().ok_or(SimError::NoCompletion { what: "aggregate word" })?;
-    let rec =
-        chaotic.take_recorder().ok_or(SimError::NoCompletion { what: "recovery recorder" })?;
-    let prof =
-        chaotic.take_profiler().ok_or(SimError::NoCompletion { what: "recovery profiler" })?;
-    Ok((report, rec, prof, v))
-}
-
-/// [`broadcast_completion_time`] as a *black-box* run: the event log, the
-/// streaming [`Telemetry`] bus (snapshot interval 16τ) and the crash
-/// [`FlightRecorder`] are all attached. Returns the completion time, the
-/// delivered-bit log, and both instruments — the run the `TEL-002` verify
-/// rule checks, by dumping the flight tail and holding it to its
-/// contiguous-suffix-of-the-log invariant.
-///
-/// # Errors
-///
-/// Returns [`SimError`] if the run budget trips or the network goes
-/// quiescent before every leaf holds the word.
-///
-/// # Panics
-///
-/// Panics if `leaves` is not a power of two.
-pub fn broadcast_black_box(
-    leaves: usize,
-    m: &CostModel,
-) -> Result<(BitTime, Vec<EventLog>, Telemetry, FlightRecorder), SimError> {
+/// Builds the `LEAFTOLEAF` composite: an upward tree from leaf
+/// `source_leaf`, a buffering turnaround, and a downward tree of sinks,
+/// glued by two zero-length wires. Node order: up-tree, down-tree,
+/// turnaround.
+fn build_leaf_to_leaf(e: &mut Engine, leaves: usize, source_leaf: usize, m: &CostModel) {
+    assert!(source_leaf < leaves, "source leaf out of range");
     let w = m.word_bits.max(1);
-    let mut e = Engine::new(m.delay)
-        .with_event_log()
-        .with_telemetry(Telemetry::new(16))
-        .with_flight_recorder(FlightRecorder::default());
-    let ids = build_tree(
-        &mut e,
+    let word = 0b1010_0110u64 & ((1 << w) - 1);
+    // Upward tree: leaves send to the root.
+    let up = build_tree(
+        e,
+        leaves,
+        m.leaf_pitch(),
+        false,
+        &mut |i| {
+            if i == source_leaf {
+                Box::new(WordSource { word, width: w, lsb_first: true, port: TO_PARENT })
+            } else {
+                Box::new(IdleLeaf)
+            }
+        },
+        &mut |_| Box::new(UpRepeater),
+    );
+    // Downward tree: the root streams back to sink leaves.
+    let down = build_tree(
+        e,
         leaves,
         m.leaf_pitch(),
         true,
         &mut |_| Box::new(WordSink::new(w, true)),
         &mut |_| Box::new(DownRepeater),
     );
-    let instruments = |e: &mut Engine| {
-        (
-            e.log().to_vec(),
-            e.take_telemetry().expect("telemetry was installed for this run"),
-            e.take_flight_recorder().expect("flight recorder was installed for this run"),
-        )
-    };
-    if leaves == 1 {
-        let (log, tel, fl) = instruments(&mut e);
-        return Ok((BitTime::ZERO, log, tel, fl));
-    }
-    let root = ids.root();
-    let src = e.add_node(Box::new(WordSource {
-        word: 0b1011,
-        width: w,
-        lsb_first: true,
-        port: TO_PARENT,
-    }));
-    e.connect(src, TO_PARENT, root, FROM_PARENT, 0);
-    let injected = m.delay.wire_bit_delay(0);
-    e.try_run()?;
-    let done = e.completion_time().ok_or(SimError::NoCompletion { what: "broadcast leaves" })?;
-    let (log, tel, fl) = instruments(&mut e);
-    Ok((done - injected, log, tel, fl))
-}
-
-/// [`supervised_sum_recovery`] with the black-box instruments riding
-/// along instead of the recorder: every supervisor rollback dumps an
-/// `orthotrees-flight/v1` post-mortem into the returned
-/// [`FlightRecorder`], and the [`Telemetry`] bus carries the
-/// `recovery.rollbacks` counter next to the engine's own meters. The
-/// outage guarantees at least one rollback, so the returned recorder
-/// always holds at least one post-mortem document.
-///
-/// # Errors
-///
-/// Returns [`SimError`] if the clean run fails, or the supervised run
-/// exhausts [`RecoveryPolicy::max_attempts`].
-///
-/// # Panics
-///
-/// Same conditions as [`sum_completion_time`].
-pub fn supervised_sum_recovery_black_box(
-    values: &[u64],
-    m: &CostModel,
-    policy: &RecoveryPolicy,
-) -> Result<(RecoveryReport, Telemetry, FlightRecorder, u64), SimError> {
-    let (mut clean, _) = build_aggregate(values, m, true);
-    clean.try_run()?;
-    let t = clean.completion_time().ok_or(SimError::NoCompletion { what: "aggregate root" })?;
-
-    let (chaotic, sink) = build_aggregate(values, m, true);
-    let until = BitTime::new(t.get().max(2));
-    let mut chaotic = chaotic
-        .with_telemetry(Telemetry::new(16))
-        .with_flight_recorder(FlightRecorder::default())
-        .with_fault_plan(FaultPlan::new(1).with_outage(sink, BitTime::new(1), until));
-    let report = supervise_engine(&mut chaotic, policy, |e, _failures| e.set_fault_plan(None))?;
-    let v = chaotic.node(sink).result().ok_or(SimError::NoCompletion { what: "aggregate word" })?;
-    let tel =
-        chaotic.take_telemetry().ok_or(SimError::NoCompletion { what: "recovery telemetry" })?;
-    let fl = chaotic
-        .take_flight_recorder()
-        .ok_or(SimError::NoCompletion { what: "recovery flight recorder" })?;
-    Ok((report, tel, fl, v))
+    // Glue: the up-root forwards straight into the down-root (zero-length
+    // wire; its 1τ latch is subtracted like the injection latch elsewhere).
+    let turn = e.add_node(Box::new(TurnAround { expected: w, buffered: Vec::new() }));
+    e.connect(up.root(), TO_PARENT, turn, FROM_LEFT, 0);
+    e.connect(turn, TO_PARENT, down.root(), FROM_PARENT, 0);
 }
 
 /// Simulates a full `LEAFTOLEAF` composite at bit level: one word travels
@@ -914,42 +756,8 @@ pub fn leaf_to_leaf_completion_time(
     m: &CostModel,
 ) -> Result<BitTime, SimError> {
     assert!(leaves.is_power_of_two() && leaves >= 2, "need a power-of-two tree >= 2");
-    assert!(source_leaf < leaves, "source leaf out of range");
-    let w = m.word_bits.max(1);
-    let word = 0b1010_0110u64 & ((1 << w) - 1);
     let mut e = Engine::new(m.delay);
-    // Upward tree: leaves send to the root.
-    let up = build_tree(
-        &mut e,
-        leaves,
-        m.leaf_pitch(),
-        false,
-        &mut |i| {
-            if i == source_leaf {
-                Box::new(WordSource { word, width: w, lsb_first: true, port: TO_PARENT })
-                    as Box<dyn NodeBehavior>
-            } else {
-                Box::new(IdleLeaf)
-            }
-        },
-        &mut |_| Box::new(UpRepeater),
-    );
-    // Downward tree: the root streams back to sink leaves.
-    let down = build_tree(
-        &mut e,
-        leaves,
-        m.leaf_pitch(),
-        true,
-        &mut |_| Box::new(WordSink::new(w, true)) as Box<dyn NodeBehavior>,
-        &mut |_| Box::new(DownRepeater),
-    );
-    // Glue: the up-root forwards straight into the down-root (zero-length
-    // wire; its 1τ latch is subtracted like the injection latch elsewhere).
-    let up_root = up.root();
-    let turn = e.add_node(Box::new(TurnAround { expected: w, buffered: Vec::new() }));
-    let down_root = down.root();
-    e.connect(up_root, TO_PARENT, turn, FROM_LEFT, 0);
-    e.connect(turn, TO_PARENT, down_root, FROM_PARENT, 0);
+    build_leaf_to_leaf(&mut e, leaves, source_leaf, m);
     let injected = m.delay.wire_bit_delay(0) + m.delay.wire_bit_delay(0);
     e.try_run()?;
     let done = e.completion_time().ok_or(SimError::NoCompletion { what: "destination leaves" })?;
@@ -1006,6 +814,38 @@ impl NodeBehavior for TurnAround {
     }
 }
 
+/// Builds the §IV converging-streams tree: leaves `0..stream_count` each
+/// send one word (its own index) up to a sink above the root that expects
+/// all `stream_count · w` bits; the other leaves idle.
+fn build_stream(e: &mut Engine, leaves: usize, stream_count: usize, m: &CostModel) {
+    assert!(
+        (1..=leaves).contains(&stream_count),
+        "stream count {stream_count} out of 1..={leaves}"
+    );
+    let w = m.word_bits.max(1);
+    let ids = build_tree(
+        e,
+        leaves,
+        m.leaf_pitch(),
+        false,
+        &mut |i| {
+            if i < stream_count {
+                Box::new(WordSource {
+                    word: (i as u64) & ((1 << w) - 1),
+                    width: w,
+                    lsb_first: true,
+                    port: TO_PARENT,
+                })
+            } else {
+                Box::new(IdleLeaf)
+            }
+        },
+        &mut |_| Box::new(UpRepeater),
+    );
+    let sink = e.add_node(Box::new(WordSink::new(w * stream_count as u32, true)));
+    e.connect(ids.root(), TO_PARENT, sink, FROM_LEFT, 0);
+}
+
 /// Simulates `stream_count` whole words converging from distinct leaves to
 /// the root of a `leaves`-leaf tree (the §IV `COMPEX` traffic pattern: the
 /// `d` words of one subtree all cross the subtree root). Bits from
@@ -1035,34 +875,8 @@ pub fn stream_completion_time(
     m: &CostModel,
 ) -> Result<BitTime, SimError> {
     assert!(leaves.is_power_of_two() && leaves >= 2, "need a power-of-two tree");
-    assert!(
-        (1..=leaves).contains(&stream_count),
-        "stream count {stream_count} out of 1..={leaves}"
-    );
-    let w = m.word_bits.max(1);
     let mut e = Engine::new(m.delay);
-    let ids = build_tree(
-        &mut e,
-        leaves,
-        m.leaf_pitch(),
-        false,
-        &mut |i| {
-            if i < stream_count {
-                Box::new(WordSource {
-                    word: (i as u64) & ((1 << w) - 1),
-                    width: w,
-                    lsb_first: true,
-                    port: TO_PARENT,
-                }) as Box<dyn NodeBehavior>
-            } else {
-                Box::new(IdleLeaf)
-            }
-        },
-        &mut |_| Box::new(UpRepeater),
-    );
-    let root = ids.root();
-    let sink = e.add_node(Box::new(WordSink::new(w * stream_count as u32, true)));
-    e.connect(root, TO_PARENT, sink, FROM_LEFT, 0);
+    build_stream(&mut e, leaves, stream_count, m);
     let injected = m.delay.wire_bit_delay(0);
     e.try_run()?;
     let done = e.completion_time().ok_or(SimError::NoCompletion { what: "converging streams" })?;
@@ -1152,101 +966,17 @@ pub fn probe_engine(
         e = e.with_fault_plan(p);
     }
     match kind {
-        ProbeKind::Broadcast => {
-            let ids = build_tree(
-                &mut e,
-                leaves,
-                m.leaf_pitch(),
-                true,
-                &mut |_| Box::new(WordSink::new(w, true)),
-                &mut |_| Box::new(DownRepeater),
-            );
-            let root = ids.root();
-            let src = e.add_node(Box::new(WordSource {
-                word: 0b1011,
-                width: w,
-                lsb_first: true,
-                port: TO_PARENT,
-            }));
-            e.connect(src, TO_PARENT, root, FROM_PARENT, 0);
-        }
+        ProbeKind::Broadcast => build_broadcast(&mut e, leaves, m),
         ProbeKind::Send => {
-            let word = 0b1101u64 & ((1 << w) - 1).max(1);
-            let ids = build_tree(
-                &mut e,
-                leaves,
-                m.leaf_pitch(),
-                false,
-                &mut |i| {
-                    if i == 0 {
-                        Box::new(WordSource { word, width: w, lsb_first: true, port: TO_PARENT })
-                            as Box<dyn NodeBehavior>
-                    } else {
-                        Box::new(IdleLeaf)
-                    }
-                },
-                &mut |_| Box::new(UpRepeater),
-            );
-            let root = ids.root();
-            let sink = e.add_node(Box::new(WordSink::new(w, true)));
-            e.connect(root, TO_PARENT, sink, FROM_LEFT, 0);
+            build_send(&mut e, leaves, 0, m);
         }
         ProbeKind::Sum | ProbeKind::Min => {
             let mask = (1u64 << w) - 1;
             let values: Vec<u64> = (0..leaves).map(|i| (i as u64 * 7 + 3) & mask).collect();
             build_aggregate_into(&mut e, &values, m, kind == ProbeKind::Sum);
         }
-        ProbeKind::LeafToLeaf => {
-            let word = 0b1010_0110u64 & ((1 << w) - 1);
-            let up = build_tree(
-                &mut e,
-                leaves,
-                m.leaf_pitch(),
-                false,
-                &mut |i| {
-                    if i == 0 {
-                        Box::new(WordSource { word, width: w, lsb_first: true, port: TO_PARENT })
-                            as Box<dyn NodeBehavior>
-                    } else {
-                        Box::new(IdleLeaf)
-                    }
-                },
-                &mut |_| Box::new(UpRepeater),
-            );
-            let down = build_tree(
-                &mut e,
-                leaves,
-                m.leaf_pitch(),
-                true,
-                &mut |_| Box::new(WordSink::new(w, true)) as Box<dyn NodeBehavior>,
-                &mut |_| Box::new(DownRepeater),
-            );
-            let up_root = up.root();
-            let turn = e.add_node(Box::new(TurnAround { expected: w, buffered: Vec::new() }));
-            let down_root = down.root();
-            e.connect(up_root, TO_PARENT, turn, FROM_LEFT, 0);
-            e.connect(turn, TO_PARENT, down_root, FROM_PARENT, 0);
-        }
-        ProbeKind::Stream => {
-            let ids = build_tree(
-                &mut e,
-                leaves,
-                m.leaf_pitch(),
-                false,
-                &mut |i| {
-                    Box::new(WordSource {
-                        word: (i as u64) & ((1 << w) - 1),
-                        width: w,
-                        lsb_first: true,
-                        port: TO_PARENT,
-                    }) as Box<dyn NodeBehavior>
-                },
-                &mut |_| Box::new(UpRepeater),
-            );
-            let root = ids.root();
-            let sink = e.add_node(Box::new(WordSink::new(w * leaves as u32, true)));
-            e.connect(root, TO_PARENT, sink, FROM_LEFT, 0);
-        }
+        ProbeKind::LeafToLeaf => build_leaf_to_leaf(&mut e, leaves, 0, m),
+        ProbeKind::Stream => build_stream(&mut e, leaves, leaves, m),
     }
     e
 }
@@ -1267,6 +997,14 @@ pub fn expected_min_time(leaves: usize, m: &CostModel) -> BitTime {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{CausalTrace, Recorder};
+
+    /// Broadcasts with only a fresh causal trace installed.
+    fn broadcast_traced(n: usize, m: &CostModel) -> (BitTime, CausalTrace) {
+        let traced = Instruments { causal: Some(CausalTrace::new()), ..Default::default() };
+        let (t, inst) = broadcast_completion_time(n, m, traced).unwrap();
+        (t, inst.causal.unwrap())
+    }
 
     fn models(n: usize) -> Vec<CostModel> {
         vec![CostModel::thompson(n), CostModel::constant_delay(n), CostModel::linear_delay(n)]
@@ -1309,7 +1047,7 @@ mod tests {
         for k in 1..=6u32 {
             let n = 1usize << k;
             for m in models(n.max(4)) {
-                let simulated = broadcast_completion_time(n, &m).unwrap();
+                let simulated = broadcast_completion_time(n, &m, Instruments::default()).unwrap().0;
                 let analytic = m.tree_root_to_leaf(n, m.leaf_pitch());
                 assert_eq!(simulated, analytic, "n={n} model={}", m.delay);
             }
@@ -1383,14 +1121,17 @@ mod tests {
     fn broadcast_constant_model_is_theta_log() {
         let n = 64;
         let m = CostModel::constant_delay(n);
-        let t = broadcast_completion_time(n, &m).unwrap().get();
+        let t = broadcast_completion_time(n, &m, Instruments::default()).unwrap().0.get();
         assert_eq!(t, 6 + u64::from(m.word_bits) - 1);
     }
 
     #[test]
     fn one_and_two_leaf_edge_cases() {
         let m = CostModel::thompson(4);
-        assert_eq!(broadcast_completion_time(1, &m).unwrap(), BitTime::ZERO);
+        assert_eq!(
+            broadcast_completion_time(1, &m, Instruments::default()).unwrap().0,
+            BitTime::ZERO
+        );
         let (t, _) = send_completion_time(1, 0, &m).unwrap();
         assert_eq!(t, BitTime::ZERO);
         let (t2, v2) = sum_completion_time(&[1, 2], &m).unwrap();
@@ -1471,7 +1212,7 @@ mod tests {
                 [CostModel::thompson(n), CostModel::constant_delay(n), CostModel::linear_delay(n)]
             {
                 let pitch = m.leaf_pitch();
-                let (t, trace) = broadcast_traced(n, &m).unwrap();
+                let (t, trace) = broadcast_traced(n, &m);
                 assert_eq!(t, m.tree_root_to_leaf(n, pitch), "completion still exact");
                 let path = trace.critical_path().unwrap();
                 assert!(path.covers_completion(), "n={n} {:?}: {path:?}", m.delay);
@@ -1500,7 +1241,7 @@ mod tests {
     #[test]
     fn traced_broadcast_of_single_leaf_is_empty() {
         let m = CostModel::thompson(2);
-        let (t, trace) = broadcast_traced(1, &m).unwrap();
+        let (t, trace) = broadcast_traced(1, &m);
         assert_eq!(t, BitTime::ZERO);
         assert!(trace.is_empty());
     }
@@ -1512,7 +1253,9 @@ mod tests {
         let (t_clean, sum_clean) = sum_completion_time(&values, &m).unwrap();
         let policy =
             RecoveryPolicy { max_attempts: 12, checkpoint_events: 32, min_checkpoint_events: 4 };
-        let (report, rec, sum) = supervised_sum_recovery(&values, &m, &policy).unwrap();
+        let recorded = Instruments { recorder: Some(Recorder::new()), ..Default::default() };
+        let (report, inst, sum) = supervised_sum_recovery(&values, &m, &policy, recorded).unwrap();
+        let rec = inst.recorder.unwrap();
         assert_eq!(sum, sum_clean);
         assert_eq!(sum, values.iter().sum::<u64>());
         // The total-outage first attempt must trip the supervisor at least
@@ -1536,7 +1279,7 @@ mod tests {
         // vs the simulated Θ(log² n).
         let n = 1 << 10;
         let m = CostModel::thompson(n);
-        let unscaled = broadcast_completion_time(n, &m).unwrap();
+        let unscaled = broadcast_completion_time(n, &m, Instruments::default()).unwrap().0;
         let scaled = m.with_scaling().tree_root_to_leaf(n, m.leaf_pitch());
         assert!(scaled < unscaled);
     }

@@ -18,10 +18,11 @@
 //!
 //! ```
 //! use orthotrees_sim::experiments::broadcast_completion_time;
+//! use orthotrees_sim::Instruments;
 //! use orthotrees_vlsi::CostModel;
 //!
 //! let m = CostModel::thompson(16);
-//! let simulated = broadcast_completion_time(16, &m)?;
+//! let (simulated, _) = broadcast_completion_time(16, &m, Instruments::default())?;
 //! let analytic = m.tree_root_to_leaf(16, m.leaf_pitch());
 //! assert_eq!(simulated, analytic);
 //! # Ok::<(), orthotrees_vlsi::SimError>(())
@@ -37,12 +38,13 @@ pub mod recovery;
 pub mod snapshot;
 
 pub use calendar::CalendarKind;
-pub use engine::{Engine, EventLog, RunStatus};
+pub use engine::{Engine, EventLog, Instruments, RunStatus};
 pub use fault::{
     DeadIp, FaultPlan, FaultStats, LinkFaultKind, Outage, RunBudget, TreeAxis, WordFaultKind,
 };
 pub use link::{Link, LinkId};
 pub use node::{Bit, NodeBehavior, NodeId, Outbox, PortId};
+pub use orthotrees_obs::causal::CausalTrace;
 pub use orthotrees_obs::flight::{FlightEvent, FlightRecorder};
 pub use orthotrees_obs::profile::Profiler;
 pub use orthotrees_obs::telemetry::Telemetry;

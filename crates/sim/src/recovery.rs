@@ -15,8 +15,9 @@
 //! subsequent failure replays less work.
 //!
 //! Every recovery is visible: the replayed window is recorded as a
-//! `RECOVERY` span on the engine's [`Recorder`](crate::Recorder) (it shows up in Perfetto
-//! traces and `phase_totals` tables), and the returned [`RecoveryReport`]
+//! `RECOVERY` span on the [`Recorder`](crate::Recorder) among the engine's
+//! [`Instruments`](crate::Instruments), if one is installed (it shows up in
+//! Perfetto traces and `phase_totals` tables), and the returned [`RecoveryReport`]
 //! quantifies attempts, replayed events/bit-time and overhead for the
 //! `analysis` report tables and the bench `recovery` section.
 
@@ -134,7 +135,7 @@ pub fn supervise_engine(
 ) -> Result<RecoveryReport, SimError> {
     let mut cadence = policy.checkpoint_events.max(1);
     let mut checkpoints = vec![engine.snapshot()];
-    if let Some(fl) = engine.flight_recorder_mut() {
+    if let Some(fl) = engine.instruments_mut().and_then(|i| i.flight.as_mut()) {
         fl.note_checkpoint(checkpoints[0].delivered_events());
     }
     let mut report = RecoveryReport {
@@ -157,7 +158,7 @@ pub fn supervise_engine(
                 Ok(RunStatus::Paused(_)) => {
                     checkpoints.push(engine.snapshot());
                     let ckpt_id = engine.delivered_events();
-                    if let Some(fl) = engine.flight_recorder_mut() {
+                    if let Some(fl) = engine.instruments_mut().and_then(|i| i.flight.as_mut()) {
                         fl.note_checkpoint(ckpt_id);
                     }
                     report.checkpoints += 1;
@@ -205,17 +206,19 @@ pub fn supervise_engine(
         report.attempts += 1;
         report.replayed_events += fail_delivered.saturating_sub(snap.delivered_events());
         report.replayed_time += BitTime::new(fail_now.get().saturating_sub(snap.now().get()));
-        if let Some(rec) = engine.recorder_mut() {
-            rec.open("RECOVERY", snap.now());
-            rec.close(fail_now.max(snap.now()));
-            rec.count("recovery.rollbacks", 1);
+        if let Some(inst) = engine.instruments_mut() {
+            if let Some(rec) = &mut inst.recorder {
+                rec.open("RECOVERY", snap.now());
+                rec.close(fail_now.max(snap.now()));
+                rec.count("recovery.rollbacks", 1);
+            }
+            if let Some(tel) = &mut inst.telemetry {
+                tel.count("recovery.rollbacks", 1);
+            }
         }
         // Every rollback leaves a post-mortem: what the engine was doing
         // when the attempt failed, before restore rewinds that state away.
         engine.flight_post_mortem("rollback", fail_now);
-        if let Some(tel) = engine.telemetry_mut() {
-            tel.count("recovery.rollbacks", 1);
-        }
 
         engine.restore(snap)?;
         heal(engine, report.rollbacks);

@@ -20,10 +20,11 @@
 //! What a snapshot deliberately does **not** contain: the network shape
 //! (nodes, links, routes — configuration, rebuilt by the caller), the
 //! installed [`FaultPlan`](crate::FaultPlan) (configuration: its draws are
-//! pure functions of the scheduling counter, which *is* saved), and any
-//! installed recorder or causal trace (observers, not simulation state).
-//! [`Engine::restore`] verifies the target engine matches the checkpoint's
-//! shape and rejects mismatches with a typed
+//! pure functions of the scheduling counter, which *is* saved), and the
+//! installed [`Instruments`](crate::Instruments) (observers, not simulation
+//! state). [`Engine::restore`] verifies the target engine matches the
+//! checkpoint's shape, and that every pending event lands on an input some
+//! link feeds, and rejects mismatches with a typed
 //! [`SimError::SnapshotMismatch`].
 
 use crate::engine::{Engine, EventLog, Pending, RunStatus};
@@ -31,6 +32,7 @@ use crate::fault::FaultStats;
 use crate::node::{Bit, NodeId, PortId};
 use orthotrees_obs::json::Json;
 use orthotrees_vlsi::{BitTime, DelayModel, SimError};
+use std::collections::HashSet;
 
 /// The on-disk schema identifier.
 pub const SCHEMA: &str = "orthotrees-snapshot/v1";
@@ -367,14 +369,17 @@ impl Engine {
     /// from: same delay model, node and link counts, tie-break mode and
     /// event-log setting — restoring into anything else would silently
     /// produce garbage, so each mismatch is rejected with a typed error.
-    /// The installed fault plan, recorder and causal trace are
+    /// Every pending event must target a `(node, port)` input that some
+    /// link feeds; a node never receives a bit anywhere else. The installed
+    /// fault plan and [`Instruments`](crate::Instruments) are
     /// configuration, not state: they are left untouched.
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::SnapshotMismatch`] on a shape mismatch, or
-    /// [`SimError::SnapshotFormat`] if a node rejects its saved state. On
-    /// error the engine may be partially restored and must be discarded.
+    /// Returns [`SimError::SnapshotMismatch`] on a shape mismatch or a
+    /// pending event on an unwired input, or [`SimError::SnapshotFormat`]
+    /// if a node rejects its saved state. On error the engine may be
+    /// partially restored and must be discarded.
     pub fn restore(&mut self, snap: &Snapshot) -> Result<(), SimError> {
         if self.delay_model() != snap.delay {
             return Err(mismatch(
@@ -394,6 +399,15 @@ impl Engine {
         }
         if self.keep_log != snap.keep_log {
             return Err(mismatch("event-log setting", self.keep_log, snap.keep_log));
+        }
+        let inputs: HashSet<(usize, usize)> =
+            self.links.iter().map(|l| (l.to.0, l.to_port.0)).collect();
+        if let Some(e) = snap.events.iter().find(|e| !inputs.contains(&(e.node, e.port))) {
+            return Err(mismatch(
+                "pending event endpoint",
+                "an input some link feeds",
+                format!("node {} port {}", e.node, e.port),
+            ));
         }
         for (node, state) in self.nodes.iter_mut().zip(&snap.node_states) {
             node.load_state(state)?;

@@ -20,8 +20,8 @@
 
 use crate::diag::Finding;
 use orthotrees::obs::causal::{CausalTrace, SegmentKind};
-use orthotrees_sim::experiments;
-use orthotrees_vlsi::{BitTime, CostModel};
+use orthotrees_sim::{experiments, Instruments};
+use orthotrees_vlsi::{BitTime, CostModel, SimError};
 
 /// Checks the tiling invariants of a trace's critical path (`CRIT-002`)
 /// and the slack accounting (`CRIT-003`). A trace that recorded hops but
@@ -139,13 +139,21 @@ pub fn lint_roottoleaf(
     out
 }
 
+/// Runs the bit-level `ROOTTOLEAF` broadcast over `leaves` leaves with
+/// only a causal trace installed; returns the trace.
+pub(crate) fn traced_broadcast(leaves: usize, m: &CostModel) -> Result<CausalTrace, SimError> {
+    let traced = Instruments { causal: Some(CausalTrace::new()), ..Default::default() };
+    let (_, inst) = experiments::broadcast_completion_time(leaves, m, traced)?;
+    Ok(inst.causal.expect("causal trace was installed"))
+}
+
 /// Runs the bit-level `ROOTTOLEAF` broadcast over `leaves` leaves with a
 /// causal trace installed and applies [`lint_trace`] and
 /// [`lint_roottoleaf`]. A failed run is itself a `CRIT-002` finding.
 pub fn lint_broadcast(leaves: usize, m: &CostModel) -> Vec<Finding> {
     let network = format!("ROOTTOLEAF[{leaves}] under {:?}", m.delay);
-    match experiments::broadcast_traced(leaves, m) {
-        Ok((_, trace)) => {
+    match traced_broadcast(leaves, m) {
+        Ok(trace) => {
             let mut out = lint_trace(&network, &trace);
             out.extend(lint_roottoleaf(&network, &trace, m, leaves));
             out
@@ -223,7 +231,7 @@ mod tests {
     #[test]
     fn a_wrong_model_is_crit001() {
         let m = CostModel::thompson(16);
-        let (_, trace) = experiments::broadcast_traced(16, &m).unwrap();
+        let trace = traced_broadcast(16, &m).unwrap();
         // Lint the logarithmic-delay trace against the constant-delay
         // closed forms: the per-level slices cannot match.
         let wrong = CostModel::constant_delay(16);

@@ -177,7 +177,7 @@ pub fn firing_fixture(id: &str) -> Report {
         // Causal-trace rules.
         "CRIT-001" => {
             let m = CostModel::thompson(16);
-            let (_, trace) = experiments::broadcast_traced(16, &m).expect("traced broadcast");
+            let trace = critpath::traced_broadcast(16, &m).expect("traced broadcast");
             // Lint the logarithmic-delay trace against the constant-delay
             // closed forms: the per-level slices cannot match.
             let wrong = CostModel::constant_delay(16);
@@ -212,8 +212,8 @@ pub fn firing_fixture(id: &str) -> Report {
         }
         "PROF-001" => {
             let m = CostModel::thompson(16);
-            let (_, rec, prof) =
-                experiments::broadcast_profiled(16, &m).expect("profiled broadcast");
+            let (rec, prof) =
+                crate::profile::profiled_broadcast(16, &m).expect("profiled broadcast");
             let mut windows = prof.windows().to_vec();
             let busy = windows
                 .iter()
@@ -245,9 +245,8 @@ pub fn firing_fixture(id: &str) -> Report {
             // A clean black-box broadcast dump with a middle tail entry
             // removed: the remaining seqs are no longer contiguous.
             let m = CostModel::thompson(16);
-            let (t, log, _tel, mut fl) =
-                experiments::broadcast_black_box(16, &m).expect("black-box broadcast");
-            let mut dump = fl.dump("export", t, &[]);
+            let (mut dump, log) =
+                crate::telemetry::black_box_broadcast(16, &m).expect("black-box broadcast");
             let mut tail = dump.get("tail").and_then(Json::as_arr).expect("tail array").to_vec();
             tail.remove(tail.len() / 2);
             dump.set("tail", Json::arr(tail));

@@ -28,8 +28,8 @@ use orthotrees::obs::Recorder;
 use orthotrees::otc::{self, Otc};
 use orthotrees::otn::{self, Otn};
 use orthotrees::FaultPlan;
-use orthotrees_sim::experiments;
-use orthotrees_vlsi::{BitTime, CostModel};
+use orthotrees_sim::{experiments, Instruments};
+use orthotrees_vlsi::{BitTime, CostModel, SimError};
 
 /// Checks PROF-002 on a profiler: window indices must be consecutive
 /// from 0 and the effective width positive.
@@ -167,6 +167,25 @@ fn word_stock(network: &str, n: usize, faulty: bool, out: &mut Vec<Finding>) {
     out.extend(check_word_tiling(&name, &prof, &rec, time));
 }
 
+/// Runs the bit-level `ROOTTOLEAF` broadcast over `leaves` leaves with a
+/// recorder and a profiler (initial window width 16τ) installed; returns
+/// both, the pair PROF-001 compares.
+pub(crate) fn profiled_broadcast(
+    leaves: usize,
+    m: &CostModel,
+) -> Result<(Recorder, Profiler), SimError> {
+    let profiled = Instruments {
+        recorder: Some(Recorder::new()),
+        profiler: Some(Profiler::new(16)),
+        ..Default::default()
+    };
+    let (_, inst) = experiments::broadcast_completion_time(leaves, m, profiled)?;
+    Ok((
+        inst.recorder.expect("recorder was installed"),
+        inst.profiler.expect("profiler was installed"),
+    ))
+}
+
 /// The stock profiler checks `netlint` runs: profiled bit-level
 /// broadcasts at a sweep of sizes, and word-level OTN/OTC sorts (clean
 /// and under the dense fault plan) — every one must window gaplessly
@@ -176,8 +195,8 @@ pub fn stock_findings() -> Vec<Finding> {
     for leaves in [4usize, 16, 64] {
         let m = CostModel::thompson(leaves);
         let name = format!("ROOTTOLEAF[{leaves}]");
-        match experiments::broadcast_profiled(leaves, &m) {
-            Ok((_, rec, prof)) => {
+        match profiled_broadcast(leaves, &m) {
+            Ok((rec, prof)) => {
                 out.extend(check_windows(&name, &prof));
                 out.extend(check_engine_tiling(&name, &prof, &rec));
             }
@@ -224,7 +243,7 @@ mod tests {
     #[test]
     fn dropped_engine_counts_are_prof001() {
         let m = CostModel::thompson(16);
-        let (_, rec, prof) = experiments::broadcast_profiled(16, &m).unwrap();
+        let (rec, prof) = profiled_broadcast(16, &m).unwrap();
         assert!(check_engine_tiling("clean", &prof, &rec).is_empty());
 
         // Tamper: drop one window's events and bits, keeping the shape

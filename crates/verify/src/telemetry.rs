@@ -19,12 +19,14 @@
 //! deliberately corrupted sketch / tampered dump.
 
 use crate::diag::Finding;
+use orthotrees::obs::flight::FlightRecorder;
 use orthotrees::obs::json::Json;
 use orthotrees::obs::telemetry::{within_rank_band, QuantileSketch, Telemetry, REPORTED_QUANTILES};
 use orthotrees::otn::pipeline::pipelined_sorts;
 use orthotrees::otn::Otn;
-use orthotrees_sim::{experiments, EventLog};
-use orthotrees_vlsi::CostModel;
+use orthotrees_sim::experiments::{probe_engine, ProbeKind};
+use orthotrees_sim::{CalendarKind, EventLog, Instruments};
+use orthotrees_vlsi::{CostModel, SimError};
 
 /// Checks TEL-001: each reported quantile of `sketch` must fall inside
 /// the ε rank band of `samples` (the exact recorded values, any order).
@@ -176,6 +178,27 @@ fn pipeline_stock(n: usize, problems: usize, out: &mut Vec<Finding>) {
     }
 }
 
+/// Runs the black-box bit-level broadcast TEL-002 checks: the
+/// `ROOTTOLEAF` probe with its event log kept and the telemetry bus (16τ
+/// snapshots) and a flight recorder installed. Returns the flight
+/// recorder's `export` dump, taken at the end of the run, and the
+/// delivered-bit log.
+pub(crate) fn black_box_broadcast(
+    leaves: usize,
+    m: &CostModel,
+) -> Result<(Json, Vec<EventLog>), SimError> {
+    let black_box = Instruments {
+        telemetry: Some(Telemetry::new(16)),
+        flight: Some(FlightRecorder::default()),
+        ..Default::default()
+    };
+    let mut e = probe_engine(ProbeKind::Broadcast, leaves, m, CalendarKind::Ladder, None, true)
+        .with_instruments(black_box);
+    e.try_run()?;
+    let mut fl = e.take_instruments().flight.expect("flight recorder was installed");
+    Ok((fl.dump("export", e.now(), &[]), e.log().to_vec()))
+}
+
 /// The stock telemetry checks `netlint` runs: TEL-001 on pipelined
 /// OTN sorting batches (sketch vs exact completion quantiles), TEL-002
 /// on black-box bit-level broadcasts (flight dump vs event log).
@@ -187,9 +210,8 @@ pub fn stock_findings() -> Vec<Finding> {
     for leaves in [4usize, 16, 64] {
         let m = CostModel::thompson(leaves);
         let name = format!("ROOTTOLEAF[{leaves}]");
-        match experiments::broadcast_black_box(leaves, &m) {
-            Ok((t, log, _tel, mut fl)) => {
-                let dump = fl.dump("export", t, &[]);
+        match black_box_broadcast(leaves, &m) {
+            Ok((dump, log)) => {
                 out.extend(check_flight_dump(&name, &dump, &log));
             }
             Err(e) => out.push(Finding::new(
@@ -238,8 +260,7 @@ mod tests {
     #[test]
     fn a_tampered_tail_is_tel002() {
         let m = CostModel::thompson(16);
-        let (t, log, _tel, mut fl) = experiments::broadcast_black_box(16, &m).unwrap();
-        let dump = fl.dump("export", t, &[]);
+        let (dump, log) = black_box_broadcast(16, &m).unwrap();
         assert!(check_flight_dump("clean", &dump, &log).is_empty());
 
         // Remove a middle tail entry: the remaining seqs are no longer
@@ -256,8 +277,7 @@ mod tests {
     #[test]
     fn a_wrong_event_count_is_tel002() {
         let m = CostModel::thompson(4);
-        let (t, log, _tel, mut fl) = experiments::broadcast_black_box(4, &m).unwrap();
-        let mut dump = fl.dump("export", t, &[]);
+        let (mut dump, log) = black_box_broadcast(4, &m).unwrap();
         dump.set("recorded_events", Json::u64(log.len() as u64 + 1));
         let f = check_flight_dump("tampered", &dump, &log);
         assert!(f.iter().any(|f| f.rule == "TEL-002" && f.subject == "recorded_events"), "{f:?}");

@@ -15,16 +15,21 @@
 //! 2. **Snapshot portability** — an `orthotrees-snapshot/v1` document
 //!    written by a heap engine restores into a ladder engine (and vice
 //!    versa) and resumes bit-identically; the committed fixture in
-//!    `tests/fixtures/calendar_snapshot_v1.json` pins the on-disk bytes.
+//!    `tests/fixtures/calendar_snapshot_v1.json` pins the on-disk bytes,
+//!    and a copy with one event retargeted onto an unwired input is
+//!    rejected at restore.
 //! 3. **Supervised recovery** — an outage-tripped soak rolls back and
 //!    replays through checkpoints identically on either calendar.
+//! 4. **Instrument identity** — every probe with all five engine
+//!    instruments installed at once runs exactly like the bare probe, and
+//!    a snapshot/restore round trip leaves the bundle installed.
 
 use orthotrees_sim::experiments::{probe_engine, ProbeKind, PROBE_KINDS};
 use orthotrees_sim::{
-    supervise_engine, CalendarKind, Engine, EventLog, FaultPlan, FaultStats, NodeId,
-    RecoveryPolicy, Snapshot,
+    supervise_engine, CalendarKind, CausalTrace, Engine, EventLog, FaultPlan, FaultStats,
+    FlightRecorder, Instruments, NodeId, Profiler, Recorder, RecoveryPolicy, Snapshot, Telemetry,
 };
-use orthotrees_vlsi::{BitTime, CostModel};
+use orthotrees_vlsi::{BitTime, CostModel, SimError};
 use proptest::prelude::*;
 
 /// Everything observable about a finished run.
@@ -55,12 +60,17 @@ fn run_probe(
     if lifo {
         e = e.with_lifo_ties();
     }
+    finished(&mut e)
+}
+
+/// Runs `e` to quiescence and fingerprints the finished run.
+fn finished(e: &mut Engine) -> Fingerprint {
     let end = e.try_run().expect("probe runs within budget");
     Fingerprint {
         end,
         completion: e.completion_time(),
         delivered: e.delivered_events(),
-        results: results(&e),
+        results: results(e),
         log: e.log().to_vec(),
         faults: *e.fault_stats(),
     }
@@ -138,24 +148,12 @@ fn snapshot_probe(cal: CalendarKind) -> Engine {
 /// the calendar holds in-flight bits on several tree levels).
 const FIXTURE_CUT: u64 = 40;
 
-fn finished(mut e: Engine) -> Fingerprint {
-    let end = e.try_run().expect("probe runs within budget");
-    Fingerprint {
-        end,
-        completion: e.completion_time(),
-        delivered: e.delivered_events(),
-        results: results(&e),
-        log: e.log().to_vec(),
-        faults: *e.fault_stats(),
-    }
-}
-
 #[test]
 fn snapshots_restore_across_calendars_bit_identically() {
     for (writer, reader) in
         [(CalendarKind::Heap, CalendarKind::Ladder), (CalendarKind::Ladder, CalendarKind::Heap)]
     {
-        let baseline = finished(snapshot_probe(reader));
+        let baseline = finished(&mut snapshot_probe(reader));
         for cut in [0u64, 1, 17, FIXTURE_CUT, 200] {
             let mut part = snapshot_probe(writer);
             part.try_run_for(cut).expect("partial run stays within budget");
@@ -165,7 +163,7 @@ fn snapshots_restore_across_calendars_bit_identically() {
             let mut resumed = snapshot_probe(reader);
             resumed.restore(&snap).expect("snapshot restores across calendars");
             assert_eq!(resumed.calendar_kind(), reader, "restore must not swap the calendar");
-            let resumed = finished(resumed);
+            let resumed = finished(&mut resumed);
             // The pre-cut deliveries happened before the snapshot, so the
             // resumed log is the baseline's suffix; everything else must
             // match the uninterrupted run on the reader's calendar exactly.
@@ -236,10 +234,33 @@ fn committed_fixture_restores_into_both_calendars() {
     for cal in [CalendarKind::Heap, CalendarKind::Ladder] {
         let mut e = snapshot_probe(cal);
         e.restore(&snap).expect("fixture restores");
-        prints.push(finished(e));
+        prints.push(finished(&mut e));
     }
     assert_eq!(prints[0], prints[1], "fixture resumes must agree across calendars");
     assert!(prints[0].completion.is_some(), "resumed run must still complete");
+}
+
+/// A pending event retargeted onto an input no link feeds — here the
+/// first calendar entry, moved from adder node 8's left input (port 1) to
+/// its output port 0 — still parses, but `restore` rejects it with a typed
+/// error instead of letting the resumed run reach the adder's
+/// unexpected-port panic.
+#[test]
+fn restore_rejects_a_pending_event_on_an_unwired_input() {
+    let committed = std::fs::read_to_string(fixture_path())
+        .expect("tests/fixtures/calendar_snapshot_v1.json is committed");
+    let entry = "\"calendar\":[[8,6,8,1,false,5],";
+    assert!(committed.contains(entry), "fixture's first calendar entry moved");
+    let hostile = committed.replacen(entry, "\"calendar\":[[8,6,8,0,false,5],", 1);
+    let snap = Snapshot::parse(&hostile).expect("the retargeted copy still parses");
+    for cal in [CalendarKind::Heap, CalendarKind::Ladder] {
+        match snapshot_probe(cal).restore(&snap) {
+            Err(SimError::SnapshotMismatch { what: "pending event endpoint", actual, .. }) => {
+                assert_eq!(actual, "node 8 port 0", "{cal:?}");
+            }
+            other => panic!("{cal:?}: expected an endpoint mismatch, got {other:?}"),
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -254,7 +275,7 @@ fn committed_fixture_restores_into_both_calendars() {
 fn supervised_recovery_is_identical_across_calendars() {
     let mut reports = Vec::new();
     for cal in [CalendarKind::Heap, CalendarKind::Ladder] {
-        let clean = finished(snapshot_probe(cal));
+        let clean = finished(&mut snapshot_probe(cal));
 
         let mut chaotic = snapshot_probe(cal);
         let sink = NodeId(chaotic.node_count() - 1);
@@ -281,4 +302,70 @@ fn supervised_recovery_is_identical_across_calendars() {
         ));
     }
     assert_eq!(reports[0], reports[1], "the two calendars recovered differently");
+}
+
+// ---------------------------------------------------------------------
+// 4. Every engine instrument at once.
+// ---------------------------------------------------------------------
+
+/// All five engine instruments.
+fn full_bundle() -> Instruments {
+    Instruments {
+        recorder: Some(Recorder::new()),
+        causal: Some(CausalTrace::new()),
+        profiler: Some(Profiler::new(16)),
+        telemetry: Some(Telemetry::new(16)),
+        flight: Some(FlightRecorder::default()),
+    }
+}
+
+/// Every probe, on both calendars, clean and under a dense link-fault
+/// plan: the run with the full bundle installed delivers the same log,
+/// completion, fault stats and delivered count as the bare run — also
+/// when it is snapshotted and restored mid-run, which must leave the
+/// bundle installed. Each instrument saw every delivery.
+#[test]
+fn the_full_instrument_bundle_perturbs_no_probe() {
+    let m = CostModel::thompson(16);
+    for kind in PROBE_KINDS {
+        for cal in [CalendarKind::Heap, CalendarKind::Ladder] {
+            for fault_seed in [None, Some(7)] {
+                let build = || {
+                    let plan = fault_seed.map(|s| FaultPlan::new(s).with_link_fault_rate(0.3));
+                    probe_engine(kind, 16, &m, cal, plan, true)
+                };
+                let label = format!("{} {cal:?} faults={fault_seed:?}", kind.tag());
+                let bare = finished(&mut build());
+                assert!(bare.delivered > 0, "{label}: nothing delivered");
+
+                let mut full = build().with_instruments(full_bundle());
+                assert_eq!(finished(&mut full), bare, "{label}: instruments changed the run");
+
+                let mut cut = build().with_instruments(full_bundle());
+                cut.try_run_for(20).expect("partial run stays within budget");
+                let snap = Snapshot::parse(&cut.snapshot().render()).expect("snapshot parses");
+                cut.restore(&snap).expect("snapshot restores into its own engine");
+                let inst = cut.instruments().expect("restore keeps the bundle");
+                assert!(
+                    inst.recorder.is_some()
+                        && inst.causal.is_some()
+                        && inst.profiler.is_some()
+                        && inst.telemetry.is_some()
+                        && inst.flight.is_some(),
+                    "{label}: restore dropped an instrument"
+                );
+                assert_eq!(finished(&mut cut), bare, "{label}: restored run diverged");
+
+                for mut e in [full, cut] {
+                    let inst = e.take_instruments();
+                    let n = bare.delivered;
+                    assert_eq!(inst.recorder.unwrap().calendar_depth().count(), n, "{label}");
+                    assert_eq!(inst.profiler.unwrap().totals().events, n, "{label}");
+                    assert_eq!(inst.telemetry.unwrap().counter("engine.delivered"), n, "{label}");
+                    assert_eq!(inst.flight.unwrap().recorded(), n, "{label}");
+                    assert!(!inst.causal.unwrap().is_empty(), "{label}: no hop traced");
+                }
+            }
+        }
+    }
 }

@@ -9,12 +9,12 @@
 //! extracted from a traced `ROOTTOLEAF` run tiles `[0, completion]` and
 //! its per-level wire slices match the `CostModel` closed forms.
 
-use orthotrees::obs::causal::SegmentKind;
+use orthotrees::obs::causal::{CausalTrace, SegmentKind};
 use orthotrees::obs::Recorder;
 use orthotrees::otc::{self, Otc};
 use orthotrees::otn::{self, Axis, Otn, PhaseCost};
 use orthotrees::{FaultPlan, Word};
-use orthotrees_sim::experiments;
+use orthotrees_sim::{experiments, Instruments};
 use orthotrees_vlsi::{BitTime, CostModel};
 use proptest::prelude::*;
 
@@ -189,7 +189,9 @@ proptest! {
             CostModel::constant_delay(n),
             CostModel::linear_delay(n),
         ][which];
-        let (_, trace) = experiments::broadcast_traced(n, &m).unwrap();
+        let traced = Instruments { causal: Some(CausalTrace::new()), ..Default::default() };
+        let (_, inst) = experiments::broadcast_completion_time(n, &m, traced).unwrap();
+        let trace = inst.causal.unwrap();
         let path = trace.critical_path().unwrap();
         prop_assert!(path.covers_completion(), "{path:?}");
         let total: BitTime =

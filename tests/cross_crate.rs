@@ -10,7 +10,7 @@ use orthotrees_analysis::workloads;
 use orthotrees_baselines::{ccc::Ccc, mesh, psn::Psn, seq};
 use orthotrees_layout::otc::{otc_dims, OtcLayout};
 use orthotrees_layout::otn::OtnLayout;
-use orthotrees_sim::experiments;
+use orthotrees_sim::{experiments, Instruments};
 
 #[test]
 fn core_and_layout_agree_on_otc_decomposition() {
@@ -36,8 +36,10 @@ fn event_simulator_validates_the_cost_model_at_network_pitch() {
     for n in [4usize, 16, 64] {
         let net = Otn::for_sorting(n).unwrap();
         let model = *net.model();
-        let simulated =
-            experiments::broadcast_completion_time(n, &with_pitch(model, net.pitch())).unwrap();
+        let bare = Instruments::default();
+        let (simulated, _) =
+            experiments::broadcast_completion_time(n, &with_pitch(model, net.pitch()), bare)
+                .unwrap();
         assert_eq!(
             simulated,
             model.tree_root_to_leaf(n, net.pitch()),

@@ -13,13 +13,22 @@ use orthotrees::obs::Recorder;
 use orthotrees::otc::Otc;
 use orthotrees::otn::{self, Axis, Otn, PhaseCost};
 use orthotrees::{BitTime, FaultPlan, FaultStats, OpStats, Word};
-use orthotrees_sim::experiments;
-use orthotrees_sim::RecoveryPolicy;
+use orthotrees_sim::{experiments, Instruments, RecoveryPolicy};
 use orthotrees_vlsi::CostModel;
 use proptest::prelude::*;
 
 /// The parallel-suite's moderately damaging plan: detectable and silent
 /// word faults plus retries, so retry overhead lands in the windows.
+/// The engine-level pair PROF-001 compares: a recorder plus a profiler
+/// with an initial window width of 16τ.
+fn profiled() -> Instruments {
+    Instruments {
+        recorder: Some(Recorder::new()),
+        profiler: Some(Profiler::new(16)),
+        ..Default::default()
+    }
+}
+
 fn plan(seed: u64) -> FaultPlan {
     FaultPlan::new(seed).with_word_fault_rate(0.3).with_max_retries(2)
 }
@@ -164,8 +173,10 @@ proptest! {
     fn engine_profile_is_clock_identical_and_tiles(k in 1u32..=7) {
         let leaves = 1usize << k;
         let m = CostModel::thompson(leaves);
-        let bare = experiments::broadcast_completion_time(leaves, &m).unwrap();
-        let (t, rec, prof) = experiments::broadcast_profiled(leaves, &m).unwrap();
+        let (bare, _) =
+            experiments::broadcast_completion_time(leaves, &m, Instruments::default()).unwrap();
+        let (t, inst) = experiments::broadcast_completion_time(leaves, &m, profiled()).unwrap();
+        let (rec, prof) = (inst.recorder.unwrap(), inst.profiler.unwrap());
         prop_assert_eq!(bare, t);
         let totals = prof.totals();
         prop_assert_eq!(totals.events, rec.calendar_depth().count());
@@ -193,9 +204,12 @@ fn profiled_recovery_matches_unprofiled_and_tiles() {
     let m = CostModel::thompson(16);
     let policy =
         RecoveryPolicy { max_attempts: 12, checkpoint_events: 32, min_checkpoint_events: 4 };
-    let (report_a, _, sum_a) = experiments::supervised_sum_recovery(&values, &m, &policy).unwrap();
-    let (report_b, rec, prof, sum_b) =
-        experiments::supervised_sum_recovery_profiled(&values, &m, &policy).unwrap();
+    let recorded = Instruments { recorder: Some(Recorder::new()), ..Default::default() };
+    let (report_a, _, sum_a) =
+        experiments::supervised_sum_recovery(&values, &m, &policy, recorded).unwrap();
+    let (report_b, inst, sum_b) =
+        experiments::supervised_sum_recovery(&values, &m, &policy, profiled()).unwrap();
+    let (rec, prof) = (inst.recorder.unwrap(), inst.profiler.unwrap());
     assert_eq!(report_a, report_b, "profiler must not change recovery behaviour");
     assert_eq!(sum_a, sum_b);
     assert!(report_b.rollbacks >= 1, "the outage must actually trip the supervisor");

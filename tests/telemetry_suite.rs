@@ -10,18 +10,31 @@
 //! `orthotrees-flight/v1` post-mortem behind, and the release-only
 //! sweep sustains a ≥1000-problem pipelined batch.
 
+use orthotrees::obs::flight::FlightRecorder;
 use orthotrees::obs::json::Json;
 use orthotrees::obs::telemetry::{within_rank_band, QuantileSketch, Telemetry, REPORTED_QUANTILES};
+use orthotrees::obs::Recorder;
 use orthotrees::otc::Otc;
 use orthotrees::otn::{self, Axis, Otn, PhaseCost};
 use orthotrees::{BitTime, FaultPlan, FaultStats, OpStats, Word};
 use orthotrees_analysis::experiments::pipeline_telemetry;
-use orthotrees_sim::{experiments, RecoveryPolicy};
+use orthotrees_sim::experiments::{self, probe_engine, ProbeKind};
+use orthotrees_sim::{CalendarKind, Instruments, RecoveryPolicy};
 use orthotrees_vlsi::CostModel;
 use proptest::prelude::*;
 
 /// The parallel-suite's moderately damaging plan: detectable and silent
 /// word faults plus retries, so fault handling runs under the bus too.
+/// The engine-level black box: the telemetry bus (16τ snapshots) plus a
+/// crash flight recorder.
+fn black_box() -> Instruments {
+    Instruments {
+        telemetry: Some(Telemetry::new(16)),
+        flight: Some(FlightRecorder::default()),
+        ..Default::default()
+    }
+}
+
 fn plan(seed: u64) -> FaultPlan {
     FaultPlan::new(seed).with_word_fault_rate(0.3).with_max_retries(2)
 }
@@ -160,9 +173,17 @@ proptest! {
     fn engine_black_box_is_clock_identical_and_contiguous(k in 2u32..=7) {
         let leaves = 1usize << k;
         let m = CostModel::thompson(leaves);
-        let bare = experiments::broadcast_completion_time(leaves, &m).unwrap();
-        let (t, log, tel, mut fl) = experiments::broadcast_black_box(leaves, &m).unwrap();
-        prop_assert_eq!(bare, t);
+        let probe = || {
+            probe_engine(ProbeKind::Broadcast, leaves, &m, CalendarKind::Ladder, None, true)
+        };
+        let mut bare = probe();
+        bare.try_run().unwrap();
+        let mut e = probe().with_instruments(black_box());
+        let t = e.try_run().unwrap();
+        prop_assert_eq!(bare.completion_time(), e.completion_time());
+        let log = e.log().to_vec();
+        let inst = e.take_instruments();
+        let (tel, mut fl) = (inst.telemetry.unwrap(), inst.flight.unwrap());
         prop_assert_eq!(tel.counter("engine.delivered"), log.len() as u64);
         prop_assert_eq!(fl.recorded(), log.len() as u64);
         let dump = fl.dump("export", t, &[]);
@@ -209,9 +230,12 @@ fn a_rollback_dumps_a_parseable_post_mortem() {
     let m = CostModel::thompson(16);
     let policy =
         RecoveryPolicy { max_attempts: 12, checkpoint_events: 32, min_checkpoint_events: 4 };
-    let (report_a, _, sum_a) = experiments::supervised_sum_recovery(&values, &m, &policy).unwrap();
-    let (report_b, tel, fl, sum_b) =
-        experiments::supervised_sum_recovery_black_box(&values, &m, &policy).unwrap();
+    let recorded = Instruments { recorder: Some(Recorder::new()), ..Default::default() };
+    let (report_a, _, sum_a) =
+        experiments::supervised_sum_recovery(&values, &m, &policy, recorded).unwrap();
+    let (report_b, inst, sum_b) =
+        experiments::supervised_sum_recovery(&values, &m, &policy, black_box()).unwrap();
+    let (tel, fl) = (inst.telemetry.unwrap(), inst.flight.unwrap());
     assert_eq!(report_a, report_b, "the black box must not change recovery behaviour");
     assert_eq!(sum_a, sum_b);
     assert!(report_b.rollbacks >= 1, "the outage must actually trip the supervisor");
